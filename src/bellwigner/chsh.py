@@ -58,7 +58,8 @@ class ChshReport:
     """Four correlators and the S value, exact or sampled.
 
     ``shots_per_setting``, ``standard_error`` and ``sigma_violation`` are
-    None in exact mode. The stored ``s_value`` always recomputes from the
+    None in exact mode; ``sigma_violation`` is also None when the standard
+    error is 0. The stored ``s_value`` always recomputes from the
     correlators within 1e-12, and exact-mode correlators cannot exceed 1 in
     magnitude beyond rounding.
     """
@@ -176,7 +177,8 @@ def report_from_setting_products(
     """Assemble a sampled report from per-setting outcome-product arrays.
 
     The standard error combines per-setting sample variances in quadrature:
-    SE = sqrt(sum_ij var_ij / shots); sigma_violation = (S - 2) / SE.
+    SE = sqrt(sum_ij var_ij / shots); sigma_violation = (S - 2) / SE, or
+    None when SE is 0 (every setting drew a single outcome product).
     """
     correlators = {}
     variance_sum = 0.0
@@ -186,10 +188,7 @@ def report_from_setting_products(
         variance_sum += float(np.var(products, ddof=1))
     s_value = s_from_correlators(correlators)
     standard_error = math.sqrt(variance_sum / shots)
-    if standard_error > 0.0:
-        sigma = (s_value - 2.0) / standard_error
-    else:
-        sigma = math.copysign(math.inf, s_value - 2.0)
+    sigma = (s_value - 2.0) / standard_error if standard_error > 0.0 else None
     return ChshReport(
         "sampled", correlators, s_value,
         shots_per_setting=shots, standard_error=standard_error, sigma_violation=sigma,

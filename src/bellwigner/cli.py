@@ -98,14 +98,20 @@ class RunConfig:
     sampled: bool = False
 
 
+def _check_seed(value: int, source: str, error: type[Exception] = UsageError) -> int:
+    """Return ``value`` if it fits in an unsigned 64-bit integer, else raise
+    ``error`` naming ``source`` (the flag, config key or environment variable)."""
+    if not 0 <= value < 2 ** 64:
+        raise error(f"{source} must fit in an unsigned 64-bit integer")
+    return value
+
+
 def _u64(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
+    return _check_seed(value, "seed", argparse.ArgumentTypeError)
 
 
 def _positive_int(text: str) -> int:
@@ -185,9 +191,9 @@ def load_config(path: str) -> dict:
         if key in _INT_KEYS:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
-            if key == "seed" and not 0 <= value < 2 ** 64:
-                raise UsageError("config key 'seed' must fit in an unsigned 64-bit integer")
-            if key != "seed" and value < 1:
+            if key == "seed":
+                _check_seed(value, "config key 'seed'")
+            elif value < 1:
                 raise UsageError(f"config key {key!r} must be positive, got {value!r}")
             out[key] = value
         elif key in _FLOAT_KEYS:
@@ -216,9 +222,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             value = int(env_seed)
         except ValueError:
             raise UsageError(f"{ENV_SEED} must be an integer, got {env_seed!r}")
-        if not 0 <= value < 2 ** 64:
-            raise UsageError(f"{ENV_SEED} must fit in an unsigned 64-bit integer")
-        settings["seed"] = value
+        settings["seed"] = _check_seed(value, ENV_SEED)
 
     if args.config is not None:
         loaded = load_config(args.config)
@@ -405,7 +409,7 @@ def _render_csv(subcommand: str, doc: dict) -> str:
 
 def _render(subcommand: str, doc: dict, output_format: str) -> str:
     if output_format == "json":
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     return _render_csv(subcommand, doc)
 
 
@@ -420,11 +424,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve(args)
         document, status = _COMMANDS[cfg.subcommand](cfg)
+        text = _render(cfg.subcommand, document, cfg.output_format)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    text = _render(cfg.subcommand, document, cfg.output_format)
     if cfg.output_path:
         try:
             Path(cfg.output_path).write_text(text)

@@ -2,24 +2,28 @@
 
 All three treat a photon-scale friend as fully quantum (the correlated state
 is kept intact) and a macroscopic instrument-scale friend as effectively
-classical (one correlated term survives). The backends reach that verdict by
-different routes:
+classical (one correlated term survives). Each backend has its own rule for
+when that verdict applies:
 
 * spontaneous localization: a Poisson collapse process at total rate
-  n_particles * rate_per_particle decides whether localization happens
-  within the measurement duration;
+  n_particles * rate_per_particle makes localization likely within the
+  measurement duration;
 * pilot wave: the particle configuration of a macroscopic instrument
   concentrates in one support region, so the other term is dynamically
   irrelevant (effective, not fundamental, collapse);
 * many worlds: splitting is tied to macroscopic systems; every branch is
   kept, each world governed by one term.
 
-For CHSH statistics the macroscopic verdict is per-side dephasing in the
-correlated basis, realized here as Born-weighted branch ensembles.
+What the verdict does is the same for all three: one map dephases the state
+in the friends' record basis, and CHSH statistics are the Born-weighted
+average over the resulting branches. A single collapse run instead draws one
+correlated term by a seeded Born selection.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +31,7 @@ import numpy as np
 
 from . import chsh as chsh_engine
 from .chsh import SETTING_PAIRS, ChshReport, s_from_correlators
-from .states import FRIEND_LABELS, StateVector, bell_wigner_state
+from .states import FRIEND_LABELS, StateVector, basis_labels, bell_wigner_state
 
 MICROSCOPIC = "microscopic"
 MACROSCOPIC = "macroscopic"
@@ -135,44 +139,31 @@ def _require_pair_state(state: StateVector) -> StateVector:
     return state
 
 
-def _correlated_pair(state: StateVector) -> tuple[tuple[int, str], tuple[int, str]]:
-    """The two correlated kets carrying the state's support.
+def _born_select_term(state: StateVector, seed: int) -> Branch:
+    """Pick one correlated term with its Born weight; keep the term's phase.
 
     Accepts either correlation convention: support on {|h,F_h>, |v,F_v>} or
     on {|h,F_v>, |v,F_h>}, with at most 1e-9 of norm leaking outside the
     chosen pair.
     """
     amps = state.amplitudes
-    pairs = (
-        ((0, "h·F_h"), (3, "v·F_v")),
-        ((1, "h·F_v"), (2, "v·F_h")),
-    )
-    for pair in pairs:
-        inside = {index for index, _ in pair}
-        leakage = math.sqrt(
-            sum(abs(amps[k]) ** 2 for k in range(4) if k not in inside)
-        )
-        if leakage <= SUPPORT_LEAKAGE_TOL:
-            return pair
-    raise ValueError("state has non-negligible support outside a correlated ket pair")
-
-
-def _born_select_term(state: StateVector, seed: int) -> Branch:
-    """Pick one correlated term with its Born weight; keep the term's phase."""
-    (i0, label0), (i1, label1) = _correlated_pair(state)
-    amps = state.amplitudes
-    w0 = abs(amps[i0]) ** 2
-    w1 = abs(amps[i1]) ** 2
-    total = w0 + w1
-    w0, w1 = w0 / total, w1 / total
-    rng = np.random.default_rng(seed)
-    if rng.random() < w0:
-        index, label, weight = i0, label0, w0
+    # on the photon x friend grid the aligned pair is the diagonal and the
+    # anti-aligned pair its complement
+    for correlated in (np.eye(2, dtype=bool), ~np.eye(2, dtype=bool)):
+        if np.linalg.norm(amps.reshape(2, 2)[~correlated]) <= SUPPORT_LEAKAGE_TOL:
+            break
     else:
-        index, label, weight = i1, label1, w1
+        raise ValueError("state has non-negligible support outside a correlated ket pair")
+    pair = np.flatnonzero(correlated)
+    # scalar abs: numpy's vectorized abs can round the last bit differently
+    weights = np.array([abs(amps[k]) ** 2 for k in pair])
+    weights /= weights.sum()
+    pick = 0 if np.random.default_rng(seed).random() < weights[0] else 1
+    index = pair[pick]
     branch_amps = np.zeros(4, dtype=complex)
     branch_amps[index] = amps[index] / abs(amps[index])
-    return Branch(weight, StateVector(state.subsystems, branch_amps), label)
+    label = "·".join(basis_labels(state.subsystems, index))
+    return Branch(weights[pick], StateVector(state.subsystems, branch_amps), label)
 
 
 def grw_collapse_state(state: StateVector, seed: int) -> Branch:
@@ -185,6 +176,32 @@ def grw_collapse_state(state: StateVector, seed: int) -> Branch:
     return _born_select_term(_require_pair_state(state), seed)
 
 
+def _friend_branches(state: StateVector) -> list[Branch]:
+    """Dephase a state in its friends' record basis: one branch per record.
+
+    Records run over every friend subsystem in ``itertools.product`` order,
+    and a branch is labeled by its friends' labels joined with "·". Cross
+    terms between different friend records vanish in the resulting
+    ensemble. Branches of weight at most 1e-15 are dropped.
+    """
+    friends = [k for k, name in enumerate(state.subsystems) if name.startswith("friend")]
+    # the big-endian layout of ``states`` makes axis k of the reshaped vector
+    # subsystem k, so fixing every friend axis selects one record's block
+    amps = state.amplitudes.reshape((2,) * len(state.subsystems))
+    axes = [(0, 1) if k in friends else (slice(None),) for k in range(amps.ndim)]
+    branches = []
+    for where in itertools.product(*axes):
+        component = np.zeros(amps.shape, dtype=complex)
+        component[where] = amps[where]
+        weight = float(np.vdot(component, component).real)
+        if weight <= BRANCH_WEIGHT_FLOOR:
+            continue
+        branch = StateVector(state.subsystems, component.reshape(-1) / math.sqrt(weight))
+        label = "·".join(FRIEND_LABELS[where[k]] for k in friends)
+        branches.append(Branch(weight, branch, label))
+    return branches
+
+
 def many_worlds_branches(state: StateVector) -> list[Branch]:
     """Decompose a (photon, friend) state into friend-outcome branches.
 
@@ -192,21 +209,7 @@ def many_worlds_branches(state: StateVector) -> list[Branch]:
     floor; sqrt-weight recombination of the returned branches reproduces the
     input. Branch states keep their phases.
     """
-    _require_pair_state(state)
-    amps = state.amplitudes
-    branches = []
-    for friend_bit, label in enumerate(FRIEND_LABELS):
-        component = np.zeros(4, dtype=complex)
-        for photon_bit in (0, 1):
-            index = 2 * photon_bit + friend_bit
-            component[index] = amps[index]
-        weight = float(np.vdot(component, component).real)
-        if weight <= BRANCH_WEIGHT_FLOOR:
-            continue
-        branches.append(
-            Branch(weight, StateVector(state.subsystems, component / math.sqrt(weight)), label)
-        )
-    return branches
+    return _friend_branches(_require_pair_state(state))
 
 
 @dataclass(frozen=True)
@@ -267,60 +270,27 @@ def pilot_wave_effective_state(
     return PilotWaveOutcome(collapsed=_born_select_term(state, seed))
 
 
-def _friend_pair_branches(state: StateVector) -> list[Branch]:
-    """Branch a 16-dim state by the joint (friend_a, friend_b) outcome.
-
-    This is the per-side dephasing in the correlated basis: cross terms
-    between different friend records vanish in the resulting ensemble.
-    """
-    amps = state.amplitudes
-    branches = []
-    for friend_a in (0, 1):
-        for friend_b in (0, 1):
-            component = np.zeros(16, dtype=complex)
-            for photon_a in (0, 1):
-                for photon_b in (0, 1):
-                    index = 8 * photon_a + 4 * friend_a + 2 * photon_b + friend_b
-                    component[index] = amps[index]
-            weight = float(np.vdot(component, component).real)
-            if weight <= BRANCH_WEIGHT_FLOOR:
-                continue
-            label = f"{FRIEND_LABELS[friend_a]}·{FRIEND_LABELS[friend_b]}"
-            branches.append(
-                Branch(weight, StateVector(state.subsystems, component / math.sqrt(weight)), label)
-            )
-    return branches
+def _friends_macroscopic(scale: FriendScale) -> bool:
+    """Pilot wave and many worlds: dephase iff the friends are macroscopic."""
+    return scale.kind == MACROSCOPIC
 
 
-def _unitary_ensemble(state: StateVector) -> list[Branch]:
+def _collapse_likely(scale: FriendScale) -> bool:
+    """Spontaneous localization: collapse iff it is likely within the run."""
+    return grw_exact_probability(scale.grw) >= 0.5
+
+
+def _ensemble(dephases, state: StateVector, scale: FriendScale) -> list[Branch]:
+    """The friend-record branches if the rule ``dephases(scale)`` holds, else the state."""
+    if dephases(scale):
+        return _friend_branches(state)
     return [Branch(1.0, state, "unitary")]
 
 
-def pilot_wave_ensemble(state: StateVector, scale: FriendScale) -> list[Branch]:
-    """Pilot wave: effective per-term dynamics iff the friends are macroscopic."""
-    if scale.kind == MACROSCOPIC:
-        return _friend_pair_branches(state)
-    return _unitary_ensemble(state)
-
-
-def grw_ensemble(state: StateVector, scale: FriendScale) -> list[Branch]:
-    """Spontaneous localization: collapse iff it is likely within the run."""
-    if grw_exact_probability(scale.grw) >= 0.5:
-        return _friend_pair_branches(state)
-    return _unitary_ensemble(state)
-
-
-def many_worlds_ensemble(state: StateVector, scale: FriendScale) -> list[Branch]:
-    """Many worlds: split on macroscopic friends, keep every branch."""
-    if scale.kind == MACROSCOPIC:
-        return _friend_pair_branches(state)
-    return _unitary_ensemble(state)
-
-
 _ENSEMBLE_BUILDERS = {
-    "pilot_wave": pilot_wave_ensemble,
-    "grw": grw_ensemble,
-    "many_worlds": many_worlds_ensemble,
+    "pilot_wave": functools.partial(_ensemble, _friends_macroscopic),
+    "grw": functools.partial(_ensemble, _collapse_likely),
+    "many_worlds": functools.partial(_ensemble, _friends_macroscopic),
 }
 
 

@@ -289,3 +289,47 @@ def test_agreement_respects_scale_buckets(capsys):
     status, _, err = run_cli(capsys, "agreement", "--scale", "micro", "--n", "1e25")
     assert status == 2
     assert "microscopic" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_chsh_sample_with_zero_standard_error_is_strict(capsys):
+    # two shots that draw one outcome product per setting give SE = 0
+    status, out, _ = run_cli(capsys, "chsh-sample", "--shots", "2", "--seed", "3")
+    assert status == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["standard_error"] == 0.0
+    assert doc["sigma_violation"] is None
+
+    status, out, _ = run_cli(capsys, "chsh-sample", "--shots", "2", "--seed", "3",
+                             "--format", "csv")
+    assert status == 0
+    header, row = list(csv.reader(out.splitlines()))
+    assert row[header.index("sigma_violation")] == ""
+
+
+def test_non_finite_json_value_is_usage_error(capsys, monkeypatch):
+    import bellwigner.cli as cli
+
+    monkeypatch.setitem(cli._COMMANDS, "classical-bound", lambda cfg: ({"x": math.inf}, 0))
+    status, out, err = run_cli(capsys, "classical-bound")
+    assert status == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_range_error_names_its_source(capsys, monkeypatch, tmp_path, seed):
+    status, _, err = run_cli(capsys, "chsh-exact", "--seed", str(seed))
+    assert status == 2 and "argument --seed" in err and "unsigned 64-bit" in err
+
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({"seed": seed}))
+    status, _, err = run_cli(capsys, "chsh-exact", "--config", str(config))
+    assert status == 2 and "config key 'seed'" in err and "unsigned 64-bit" in err
+
+    monkeypatch.setenv(ENV_SEED, str(seed))
+    status, _, err = run_cli(capsys, "chsh-exact")
+    assert status == 2 and ENV_SEED in err and "unsigned 64-bit" in err

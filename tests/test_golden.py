@@ -1,0 +1,57 @@
+"""Byte-exact stdout of pinned CLI invocations, compared with tests/golden/.
+
+Regenerate (only when an output change is intended) with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from bellwigner.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+SAMPLED = ("--sampled", "--shots", "1000", "--seed", "11")
+CASES = {
+    "agreement_micro": ("agreement", "--scale", "micro"),
+    "agreement_macro": ("agreement", "--scale", "macro"),
+    "agreement_micro_sampled": ("agreement", "--scale", "micro", *SAMPLED),
+    "agreement_macro_sampled": ("agreement", "--scale", "macro", *SAMPLED),
+    # the GRW rule disagrees with the scale-bucket rule of the other backends
+    "agreement_micro_long": ("agreement", "--scale", "micro", "--n", "1e6", "--t", "1e12"),
+    "agreement_macro_short": ("agreement", "--scale", "macro", "--t", "1e-12"),
+    "branches": ("branches",),
+}
+
+
+def golden_cases():
+    for name, argv in CASES.items():
+        for fmt in ("json", "csv"):
+            yield f"{name}.{fmt}", [*argv, "--format", fmt]
+
+
+def run_stdout(argv: list[str]) -> tuple[int, bytes]:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        status = main(argv)
+    return status, buffer.getvalue().encode()
+
+
+@pytest.mark.parametrize("filename, argv", list(golden_cases()))
+def test_stdout_matches_golden(filename, argv):
+    status, out = run_stdout(argv)
+    assert status == 0
+    assert out == (GOLDEN_DIR / filename).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for filename, argv in golden_cases():
+        status, out = run_stdout(argv)
+        if status != 0:
+            sys.exit(f"{filename}: bellwigner {' '.join(argv)} exited {status}")
+        (GOLDEN_DIR / filename).write_bytes(out)

@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bellwigner.chsh import SETTING_PAIRS, chsh_exact
+from bellwigner.chsh import SETTING_PAIRS, chsh_exact, joint_distribution
 from bellwigner.interpretations import (
+    _ENSEMBLE_BUILDERS,
     ATOM_PARAMS,
     INSTRUMENT_PARAMS,
     FriendScale,
     GrwParams,
+    _friend_branches,
     agreement_report,
     grw_collapse_state,
     grw_exact_probability,
@@ -22,6 +26,7 @@ from bellwigner.interpretations import (
 from bellwigner.states import (
     FULL_LAYOUT,
     StateVector,
+    basis_labels,
     basis_state,
     bell_wigner_state,
     correlate_friend,
@@ -360,3 +365,37 @@ def test_branch_document():
     assert doc["label"] == "F_h"
     assert doc["weight"] == pytest.approx(0.5)
     assert doc["state"]["layout"] == ["photon", "friend"]
+
+
+unit_floats = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def full_states(draw):
+    parts = np.array(draw(st.lists(unit_floats, min_size=32, max_size=32)))
+    amps = parts[:16] + 1j * parts[16:]
+    norm = np.linalg.norm(amps)
+    assume(norm > 1e-3)
+    return StateVector(FULL_LAYOUT, amps / norm)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(full_states())
+def test_friend_branches_dephase_without_changing_friend_records(state):
+    branches = _friend_branches(state)
+    assert sum(b.weight for b in branches) == pytest.approx(1.0, abs=1e-12)
+    recombined = sum(math.sqrt(b.weight) * b.state.amplitudes for b in branches)
+    assert np.linalg.norm(recombined - state.amplitudes) <= 1e-12
+    for branch in branches:
+        for index in np.flatnonzero(branch.state.amplitudes):
+            _, friend_a, _, friend_b = basis_labels(FULL_LAYOUT, index)
+            assert branch.label == f"{friend_a}·{friend_b}"
+
+    # setting (0, 0) reads both friends' records, which dephasing leaves alone
+    own = [cell.joint_probability for cell in joint_distribution(state, 0, 0)]
+    for name, build in _ENSEMBLE_BUILDERS.items():
+        mixture = np.zeros(len(own))
+        for branch in build(state, FriendScale.macroscopic()):
+            table = joint_distribution(branch.state, 0, 0)
+            mixture += branch.weight * np.array([cell.joint_probability for cell in table])
+        assert np.allclose(mixture, own, rtol=0.0, atol=1e-12), name

@@ -26,6 +26,10 @@ from .states import StateVector
 SETTING_PAIRS = ((1, 1), (1, 0), (0, 1), (0, 0))
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
+# Most draws one sampling call makes. A sampled CHSH run holds a few float64
+# and int64 arrays of the shot count, so 10^7 keeps its peak near 0.5 GB.
+MAX_DRAWS = 10 ** 7
+
 _S_CONSISTENCY_TOL = 1e-12
 
 
@@ -149,8 +153,11 @@ def sample_products(
     """Inverse-CDF draw of `shots` outcome products from one setting's table.
 
     The generator is seeded from the full ``stream_key`` tuple, so every
-    setting (and caller) owns an independent, reproducible stream.
+    setting (and caller) owns an independent, reproducible stream. At most
+    ``MAX_DRAWS`` shots are drawn in one call.
     """
+    if shots > MAX_DRAWS:
+        raise ValueError(f"shots {shots} exceeds the cap of {MAX_DRAWS} draws per call")
     probs = np.clip(np.asarray(probabilities, dtype=float), 0.0, None)
     cdf = np.cumsum(probs)
     if cdf[-1] <= 0.0:

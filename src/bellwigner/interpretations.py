@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chsh as chsh_engine
-from .chsh import SETTING_PAIRS, ChshReport, s_from_correlators
+from .chsh import MAX_DRAWS, SETTING_PAIRS, ChshReport, s_from_correlators
 from .states import FRIEND_LABELS, StateVector, basis_labels, bell_wigner_state
 
 MICROSCOPIC = "microscopic"
@@ -63,6 +63,12 @@ class GrwParams:
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
         if self.n_particles < 1.0:
             raise ValueError("n_particles must be at least 1")
+        # the probabilities multiply these products; an overflow to inf would
+        # turn into nan (inf * 0) or a collapse time of 0
+        for left, right in (("n_particles", "rate_per_particle"), ("n_particles", "duration_s")):
+            x, y = getattr(self, left), getattr(self, right)
+            if not math.isfinite(x * y):
+                raise ValueError(f"{left} * {right} overflows: {x!r} * {y!r}")
 
     @property
     def total_rate(self) -> float:
@@ -102,9 +108,12 @@ def grw_simulate(params: GrwParams, trials: int, seed: int) -> GrwSimResult:
 
     Trial ``i`` consumes the i-th variate of the seeded stream, so block
     generation (e.g. with PCG64.advance) reproduces the serial run exactly.
+    At most ``MAX_DRAWS`` trials are drawn in one call.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if trials > MAX_DRAWS:
+        raise ValueError(f"trials {trials} exceeds the cap of {MAX_DRAWS} draws per call")
     rate = params.total_rate
     if rate < MIN_TOTAL_RATE:
         raise ValueError(f"total rate {rate!r} /s is below {MIN_TOTAL_RATE} (underflow risk)")

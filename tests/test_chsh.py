@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bellwigner.chsh import (
+    MAX_DRAWS,
     SETTING_PAIRS,
     TSIRELSON_BOUND,
     ChshReport,
@@ -18,6 +19,7 @@ from bellwigner.chsh import (
     joint_distribution,
     report_from_setting_products,
     s_from_correlators,
+    sample_products,
     sample_setting_products,
 )
 from bellwigner.states import FULL_LAYOUT, StateVector, basis_state, bell_wigner_state
@@ -227,3 +229,11 @@ def test_parallel_sampling_reproduces_serial():
 def test_sampled_rejects_too_few_shots():
     with pytest.raises(ValueError, match="at least 2"):
         chsh_sampled(bell_wigner_state(), 1, seed=0)
+
+
+def test_sample_products_caps_draws_per_call():
+    probabilities, products = np.array([0.5, 0.5]), np.array([1.0, -1.0])
+    with pytest.raises(ValueError, match=f"shots {MAX_DRAWS + 1} exceeds the cap of {MAX_DRAWS}"):
+        sample_products(probabilities, products, MAX_DRAWS + 1, (0, 1, 1))
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        chsh_sampled(bell_wigner_state(), 10 ** 11, seed=0)

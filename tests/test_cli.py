@@ -3,8 +3,12 @@
 import csv
 import json
 import math
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellwigner.chsh import chsh_sampled
 from bellwigner.cli import ENV_SEED, SUBCOMMANDS, UsageError, load_config, main
@@ -333,3 +337,136 @@ def test_seed_range_error_names_its_source(capsys, monkeypatch, tmp_path, seed):
     monkeypatch.setenv(ENV_SEED, str(seed))
     status, _, err = run_cli(capsys, "chsh-exact")
     assert status == 2 and ENV_SEED in err and "unsigned 64-bit" in err
+
+
+# (argv, config file text or None, BELLWIGNER_SEED or None, exit status,
+# exact last stderr line); "{dir}" stands for a per-test temporary directory
+USAGE_ERRORS = {
+    "seed_flag": (["chsh-exact", "--seed", "-1"], None, None, 2,
+                  "bellwigner chsh-exact: error: argument --seed: "
+                  "seed must fit in an unsigned 64-bit integer"),
+    "seed_config": (["chsh-exact"], '{"seed": -1}', None, 2,
+                    "error: config key 'seed' must fit in an unsigned 64-bit integer"),
+    "seed_env": (["chsh-exact"], None, "-1", 2,
+                 "error: BELLWIGNER_SEED must fit in an unsigned 64-bit integer"),
+    "seed_env_garbage": (["chsh-exact"], None, "x", 2,
+                         "error: BELLWIGNER_SEED must be an integer, got 'x'"),
+    "one_shot": (["chsh-sample", "--shots", "1"], None, None, 2,
+                 "error: shots_per_setting must be at least 2 (sample variance)"),
+    "unknown_key": (["chsh-exact"], '{"shotz": 5}', None, 2,
+                    "error: unknown config key 'shotz'"),
+    "int_type": (["chsh-exact"], '{"shots": "many"}', None, 2,
+                 "error: config key 'shots' must be an integer, got 'many'"),
+    "float_type": (["chsh-exact"], '{"n": true}', None, 2,
+                   "error: config key 'n' must be a number, got True"),
+    "str_type": (["chsh-exact"], '{"out": 3}', None, 2,
+                 "error: config key 'out' must be a string, got 3"),
+    "not_positive": (["chsh-exact"], '{"trials": 0}', None, 2,
+                     "error: config key 'trials' must be positive, got 0"),
+    "bad_choice": (["chsh-exact"], '{"scale": "meso"}', None, 2,
+                   "error: config key 'scale' must be one of ('micro', 'macro'), got 'meso'"),
+    "micro_too_big": (["agreement", "--scale", "micro", "--n", "1e25"], None, None, 2,
+                      "error: microscopic friend cannot have 1e+25 particles (> 1000000.0)"),
+    "unwritable_out": (["chsh-exact", "--out", "{dir}/missing/x.json"], None, None, 1,
+                       "error: cannot write {dir}/missing/x.json: [Errno 2] "
+                       "No such file or directory: '{dir}/missing/x.json'"),
+}
+
+
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_usage_error_table(capsys, monkeypatch, tmp_path, case):
+    argv, config_text, env_seed, expected_status, last_line = USAGE_ERRORS[case]
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    if config_text is not None:
+        config = tmp_path / "config.json"
+        config.write_text(config_text)
+        argv += ["--config", str(config)]
+    if env_seed is None:
+        monkeypatch.delenv(ENV_SEED, raising=False)
+    else:
+        monkeypatch.setenv(ENV_SEED, env_seed)
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, out) == (expected_status, "")
+    assert err.endswith("\n")
+    assert err.splitlines()[-1] == last_line.replace("{dir}", str(tmp_path))
+
+
+# (argv, exact stderr line) of runs that exit 2 in both JSON and CSV
+REFUSED_RUNS = {
+    "grw_sim_rate_overflow": (
+        ["grw-sim", "--n", "1e308", "--rate", "1e308", "--t", "1", "--trials", "10"],
+        "error: n_particles * rate_per_particle overflows: 1e+308 * 1e+308"),
+    "grw_prob_rate_overflow": (
+        ["grw-prob", "--n", "1e308", "--rate", "1e308", "--t", "0"],
+        "error: n_particles * rate_per_particle overflows: 1e+308 * 1e+308"),
+    "grw_prob_duration_overflow": (
+        ["grw-prob", "--n", "1e200", "--t", "1e200", "--rate", "0"],
+        "error: n_particles * duration_s overflows: 1e+200 * 1e+200"),
+    "shots_cap": (["chsh-sample", "--shots", "100000000000"],
+                  "error: shots 100000000000 exceeds the cap of 10000000 draws per call"),
+    "agreement_shots_cap": (
+        ["agreement", "--sampled", "--shots", "100000000000"],
+        "error: shots 100000000000 exceeds the cap of 10000000 draws per call"),
+    "trials_cap": (["grw-sim", "--trials", "100000000000"],
+                   "error: trials 100000000000 exceeds the cap of 10000000 draws per call"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", REFUSED_RUNS)
+def test_refused_runs_exit_2_with_one_line(capsys, case, fmt):
+    argv, line = REFUSED_RUNS[case]
+    status, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert (status, out, err) == (2, "", line + "\n")
+
+
+def test_non_finite_csv_value_is_usage_error(capsys, monkeypatch):
+    import bellwigner.cli as cli
+
+    monkeypatch.setattr(cli, "grw_exact_probability", lambda params: math.nan)
+    for fmt, name in (("json", "JSON"), ("csv", "CSV")):
+        status, out, err = run_cli(capsys, "grw-prob", "--format", fmt)
+        assert (status, out) == (2, "")
+        assert err == f"error: Out of range float values are not {name} compliant: nan\n"
+
+
+def _setting_values(key):
+    """Valid values of one setting, drawn from its declaration."""
+    import bellwigner.cli as cli
+
+    options, kind, _ = cli._SETTINGS[key]
+    if "choices" in options:
+        return st.sampled_from(options["choices"])
+    if kind is int:
+        return st.integers(0 if key == "seed" else 1, 2 ** 64 - 1)
+    if kind is float:
+        return st.integers(-10 ** 6, 10 ** 6) | st.floats(allow_nan=False, allow_infinity=False)
+    return st.text("ab/.-_", min_size=1, max_size=8)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_settings_precedence_flag_config_env_default(tmp_path_factory, data):
+    import bellwigner.cli as cli
+
+    keys = sorted(cli._SETTINGS)
+    flags = {k: data.draw(_setting_values(k)) for k in data.draw(st.sets(st.sampled_from(keys)))}
+    configured = {k: data.draw(_setting_values(k))
+                  for k in data.draw(st.sets(st.sampled_from(keys)))}
+    env_seed = data.draw(st.none() | st.integers(0, 2 ** 64 - 1))
+
+    argv = ["chsh-exact", *(f"--{key}={value}" for key, value in flags.items())]
+    if configured or data.draw(st.booleans()):
+        config = tmp_path_factory.getbasetemp() / "precedence.json"
+        config.write_text(json.dumps(configured))
+        argv += ["--config", str(config)]
+    with mock.patch.dict(os.environ):
+        os.environ.pop(ENV_SEED, None)
+        if env_seed is not None:
+            os.environ[ENV_SEED] = str(env_seed)
+        cfg = cli._resolve(cli.build_parser().parse_args(argv))
+
+    for key, (_, _, default) in cli._SETTINGS.items():
+        fallback = env_seed if key == "seed" and env_seed is not None else default
+        assert cfg[key] == flags.get(key, configured.get(key, fallback)), key
+    assert cfg["explicit"] == set(flags) | set(configured)

@@ -25,6 +25,21 @@ CASES = {
     "agreement_micro_long": ("agreement", "--scale", "micro", "--n", "1e6", "--t", "1e12"),
     "agreement_macro_short": ("agreement", "--scale", "macro", "--t", "1e-12"),
     "branches": ("branches",),
+    "chsh_exact": ("chsh-exact",),
+    "chsh_sample": ("chsh-sample", "--shots", "1000", "--seed", "42"),
+    # two shots that draw one outcome product per setting: SE = 0
+    "chsh_sample_zero_se": ("chsh-sample", "--shots", "2", "--seed", "3"),
+    "classical_bound": ("classical-bound",),
+    **{f"distribution_{s}": ("distribution", "--setting", s) for s in ("00", "01", "10", "11")},
+    "verify_algebra": ("verify-algebra",),
+    "grw_prob": ("grw-prob", "--n", "100", "--t", "1e3", "--rate", "1e-16"),
+    "grw_sim": ("grw-sim", "--n", "1e25", "--t", "1e-9", "--trials", "10000", "--seed", "7"),
+    # default parameters: no trial collapses, so the mean time is null
+    "grw_sim_null_mean": ("grw-sim", "--trials", "100"),
+    **{f"dump_state_{name.replace('-', '_')}": ("dump-state", name)
+       for name in ("plus-photon", "correlated", "entangled-pair", "bell-wigner")},
+    **{f"dump_observable_{label}": ("dump-observable", label)
+       for label in ("A0", "A1", "B0", "B1")},
 }
 
 

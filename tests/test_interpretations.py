@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bellwigner.chsh import SETTING_PAIRS, chsh_exact, joint_distribution
+from bellwigner.chsh import MAX_DRAWS, SETTING_PAIRS, chsh_exact, joint_distribution
 from bellwigner.interpretations import (
     _ENSEMBLE_BUILDERS,
     ATOM_PARAMS,
@@ -399,3 +399,29 @@ def test_friend_branches_dephase_without_changing_friend_records(state):
             table = joint_distribution(branch.state, 0, 0)
             mixture += branch.weight * np.array([cell.joint_probability for cell in table])
         assert np.allclose(mixture, own, rtol=0.0, atol=1e-12), name
+
+
+@pytest.mark.parametrize("n, duration, rate, product", [
+    # n * rate overflows: the simulated first-collapse times would all be 0
+    (1e308, 1.0, 1e308, "n_particles * rate_per_particle"),
+    # n * rate overflows and duration 0 would give inf * 0 = nan
+    (1e308, 0.0, 1e308, "n_particles * rate_per_particle"),
+    # n * duration overflows and rate 0 would give a linear estimate of nan
+    (1e200, 1e200, 0.0, "n_particles * duration_s"),
+])
+def test_grw_params_reject_overflowing_products(n, duration, rate, product):
+    with pytest.raises(ValueError, match=product.replace("*", r"\*")):
+        GrwParams(n, duration, rate)
+
+
+def test_grw_params_accept_finite_products_at_the_edge():
+    # n * duration and n * rate are finite; the triple product overflows to inf
+    params = GrwParams(1e154, 1e154, 1e-100)
+    assert grw_linear_probability(params) == 1.0
+    assert grw_exact_probability(params) == 1.0
+    assert grw_simulate(params, 10, seed=0).collapsed_fraction == 1.0
+
+
+def test_grw_simulate_caps_draws_per_call():
+    with pytest.raises(ValueError, match=f"trials {MAX_DRAWS + 1} exceeds the cap of {MAX_DRAWS}"):
+        grw_simulate(ATOM_PARAMS, MAX_DRAWS + 1, seed=0)

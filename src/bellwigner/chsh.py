@@ -5,6 +5,11 @@ measurement of one Alice setting with one Bob setting uses products of the
 lifted spectral projectors, which is legitimate because the two sides
 commute; no sequential collapse is involved.
 
+The engine takes a 16-dim state or an ensemble, a sequence of branches with
+``weight`` and ``state`` such as ``interpretations.Branch``; a bare state is
+the ensemble of itself with weight 1. An ensemble's correlators and outcome
+tables are the Born-weighted averages of its branches'.
+
 Sampling determinism: each setting pair (i, j) draws from its own generator
 seeded by hashing (seed, i, j), so the four settings can be sampled in any
 order, serially or in parallel, and reproduce identical reports bit for bit.
@@ -15,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +115,21 @@ def _require_full_state(state: StateVector) -> np.ndarray:
     return state.amplitudes
 
 
+def _born_sum(state: StateVector | Sequence, value):
+    """Born-weighted sum of ``value(branch.state)`` over an ensemble.
+
+    A bare state is the ensemble of itself with weight 1, whose sum is
+    ``value(state)`` bit for bit. The sum starts from the first term, not
+    from 0.0, which would turn a -0.0 into 0.0.
+    """
+    if isinstance(state, StateVector):
+        return value(state)
+    terms = [branch.weight * value(branch.state) for branch in state]
+    if not terms:
+        raise ValueError("an ensemble needs at least one branch")
+    return sum(terms[1:], terms[0])
+
+
 @functools.cache
 def _lifted_products() -> dict[tuple[int, int], np.ndarray]:
     return {
@@ -127,11 +148,12 @@ def _outcome_cells(i: int, j: int) -> tuple[tuple[float, float, np.ndarray], ...
     return tuple(cells)
 
 
-def chsh_exact(state: StateVector) -> ChshReport:
-    """Exact quantum correlators and S value of a 16-dim state."""
-    psi = _require_full_state(state)
+def chsh_exact(state: StateVector | Sequence) -> ChshReport:
+    """Exact quantum correlators and S value of a 16-dim state or an ensemble."""
     products = _lifted_products()
-    correlators = {pair: expectation(psi, products[pair]) for pair in SETTING_PAIRS}
+    totals = _born_sum(state, lambda branch: np.array([
+        expectation(_require_full_state(branch), products[pair]) for pair in SETTING_PAIRS]))
+    correlators = dict(zip(SETTING_PAIRS, totals.tolist()))
     return ChshReport("exact", correlators, s_from_correlators(correlators))
 
 
@@ -169,13 +191,14 @@ def sample_products(
 
 
 def sample_setting_products(
-    state: StateVector, i: int, j: int, shots: int, seed: int
+    state: StateVector | Sequence, i: int, j: int, shots: int, seed: int
 ) -> np.ndarray:
-    """Products a*b of `shots` joint outcomes of setting (i, j)."""
-    table = joint_distribution(state, i, j)
-    probabilities = np.array([cell.joint_probability for cell in table])
-    products = np.array([cell.a_value * cell.b_value for cell in table])
-    return sample_products(probabilities, products, shots, (seed, i, j))
+    """Products a*b of `shots` joint outcomes of setting (i, j), drawn from
+    the mixture table of an ensemble: its branches' Born-weighted tables."""
+    mixture = _born_sum(state, lambda branch: np.array(
+        [cell.joint_probability for cell in joint_distribution(branch, i, j)]))
+    products = np.array([a_value * b_value for a_value, b_value, _ in _outcome_cells(i, j)])
+    return sample_products(mixture, products, shots, (seed, i, j))
 
 
 def report_from_setting_products(
@@ -202,8 +225,8 @@ def report_from_setting_products(
     )
 
 
-def chsh_sampled(state: StateVector, shots_per_setting: int, seed: int) -> ChshReport:
-    """Monte Carlo CHSH run: seeded, reproducible bit for bit."""
+def chsh_sampled(state: StateVector | Sequence, shots_per_setting: int, seed: int) -> ChshReport:
+    """Monte Carlo CHSH run on a state or an ensemble: seeded, reproducible bit for bit."""
     if shots_per_setting < 2:
         raise ValueError("shots_per_setting must be at least 2 (sample variance)")
     setting_products = {

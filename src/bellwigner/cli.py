@@ -121,10 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellwigner",
         description="Desk-scale simulator of the extended Wigner's-friend CHSH experiment.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, handler in _COMMANDS.items():
-        sp = sub.add_parser(name, parents=[common], help=handler.__doc__)
+        sp = sub.add_parser(name, parents=[common], help=handler.__doc__, allow_abbrev=False)
         # a handler registered without _command takes no arguments of its own
         for flag, options in getattr(handler, "arguments", ()):
             sp.add_argument(flag, **options)
@@ -179,6 +180,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     given = load_config(args.config) if args.config is not None else {}
     given.update((key, getattr(args, key)) for key in _SETTINGS if getattr(args, key) is not None)
     cfg.update(given)
+    if cfg["out"] == "":
+        raise UsageError("out must be a non-empty path")
     cfg.update(
         subcommand=args.subcommand,
         explicit=frozenset(given),
@@ -374,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if cfg["out"]:
+    if cfg["out"] is not None:
         try:
             Path(cfg["out"]).write_text(text)
         except OSError as exc:

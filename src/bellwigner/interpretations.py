@@ -15,8 +15,9 @@ when that verdict applies:
   kept, each world governed by one term.
 
 What the verdict does is the same for all three: one map dephases the state
-in the friends' record basis, and CHSH statistics are the Born-weighted
-average over the resulting branches. A single collapse run instead draws one
+in the friends' record basis. This module only chooses each backend's
+ensemble (the branches, or the untouched state); the CHSH engine averages
+its statistics over the branches. A single collapse run instead draws one
 correlated term by a seeded Born selection.
 """
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chsh as chsh_engine
-from .chsh import MAX_DRAWS, SETTING_PAIRS, ChshReport, s_from_correlators
+from .chsh import MAX_DRAWS, ChshReport
 from .states import FRIEND_LABELS, StateVector, basis_labels, bell_wigner_state
 
 MICROSCOPIC = "microscopic"
@@ -303,40 +304,6 @@ _ENSEMBLE_BUILDERS = {
 }
 
 
-def _ensemble_chsh_exact(ensemble: list[Branch]) -> ChshReport:
-    """Born-weighted average of the exact correlators over an ensemble."""
-    correlators = {pair: 0.0 for pair in SETTING_PAIRS}
-    for branch in ensemble:
-        report = chsh_engine.chsh_exact(branch.state)
-        for pair in SETTING_PAIRS:
-            correlators[pair] += branch.weight * report.correlators[pair]
-    return ChshReport("exact", correlators, s_from_correlators(correlators))
-
-
-def _ensemble_chsh_sampled(ensemble: list[Branch], shots: int, seed: int) -> ChshReport:
-    """Sampled CHSH run on the ensemble's mixture distribution.
-
-    The per-setting streams hash only (seed, i, j): backends whose ensembles
-    agree produce bit-identical reports under the same seed.
-    """
-    if shots < 2:
-        raise ValueError("shots must be at least 2 (sample variance)")
-    setting_products = {}
-    for i, j in SETTING_PAIRS:
-        mixture = None
-        products = None
-        for branch in ensemble:
-            table = chsh_engine.joint_distribution(branch.state, i, j)
-            probs = branch.weight * np.array([cell.joint_probability for cell in table])
-            mixture = probs if mixture is None else mixture + probs
-            if products is None:
-                products = np.array([cell.a_value * cell.b_value for cell in table])
-        setting_products[(i, j)] = chsh_engine.sample_products(
-            mixture, products, shots, (seed, i, j)
-        )
-    return chsh_engine.report_from_setting_products(setting_products, shots)
-
-
 @dataclass(frozen=True)
 class AgreementReport:
     """CHSH predictions of the three backends side by side."""
@@ -375,9 +342,9 @@ def agreement_report(
     for name in BACKENDS:
         ensemble = _ENSEMBLE_BUILDERS[name](state, scale)
         if sampled:
-            reports[name] = _ensemble_chsh_sampled(ensemble, shots, seed)
+            reports[name] = chsh_engine.chsh_sampled(ensemble, shots, seed)
         else:
-            reports[name] = _ensemble_chsh_exact(ensemble)
+            reports[name] = chsh_engine.chsh_exact(ensemble)
     s_values = [report.s_value for report in reports.values()]
     all_equal = max(s_values) - min(s_values) <= AGREEMENT_TOL
     return AgreementReport(mode, reports, all_equal)

@@ -13,28 +13,22 @@ import numpy as np
 DEFAULT_TOL = 1e-12
 
 
+def _as_array(x, ndim: int) -> np.ndarray:
+    """Coerce to a finite, non-empty complex array of ``ndim`` (1 or 2) axes."""
+    kind = "vector" if ndim == 1 else "matrix"
+    a = np.asarray(x, dtype=complex)
+    if a.ndim != ndim:
+        raise ValueError(f"expected a {kind}, got array of ndim={a.ndim}")
+    if 0 in a.shape:
+        raise ValueError(f"{kind} must be non-empty")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{kind} entries must be finite")
+    return a
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce to a finite complex 2-D array, raising ValueError otherwise."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of ndim={a.ndim}")
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        raise ValueError("matrix must be non-empty")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a
-
-
-def as_vector(v) -> np.ndarray:
-    """Coerce to a finite complex 1-D array, raising ValueError otherwise."""
-    a = np.asarray(v, dtype=complex)
-    if a.ndim != 1:
-        raise ValueError(f"expected a vector, got array of ndim={a.ndim}")
-    if a.shape[0] == 0:
-        raise ValueError("vector must be non-empty")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("vector entries must be finite")
-    return a
+    return _as_array(m, 2)
 
 
 def frobenius_norm(m) -> float:
@@ -76,7 +70,7 @@ def expectation(psi, m, tol: float = DEFAULT_TOL) -> float:
     non-normalized state. The imaginary residue of the quadratic form is
     required to stay below ``tol``.
     """
-    v = as_vector(psi)
+    v = _as_array(psi, 1)
     a = as_matrix(m)
     if a.shape != (v.shape[0], v.shape[0]):
         raise ValueError(f"dimension mismatch: state dim {v.shape[0]}, matrix {a.shape}")

@@ -102,30 +102,16 @@ def _coherence_probe(side: str, label: str) -> Observable:
 
 
 @functools.cache
-def make_a0() -> Observable:
-    return _friend_readout(ALICE, "A0")
-
-
-@functools.cache
-def make_a1() -> Observable:
-    return _coherence_probe(ALICE, "A1")
-
-
-@functools.cache
-def make_b0() -> Observable:
-    return _friend_readout(BOB, "B0")
-
-
-@functools.cache
-def make_b1() -> Observable:
-    return _coherence_probe(BOB, "B1")
-
-
 def make_observable(label: str) -> Observable:
-    builders = {"A0": make_a0, "A1": make_a1, "B0": make_b0, "B1": make_b1}
-    if label not in builders:
+    """The observable named ``label``, one of OBSERVABLE_LABELS, built once."""
+    if label not in OBSERVABLE_LABELS:
         raise ValueError(f"unknown observable label {label!r}")
-    return builders[label]()
+    build = _friend_readout if label[1] == "0" else _coherence_probe
+    return build(ALICE if label[0] == "A" else BOB, label)
+
+
+make_a0, make_a1, make_b0, make_b1 = (
+    functools.partial(make_observable, label) for label in OBSERVABLE_LABELS)
 
 
 def alice_observable(setting: int) -> Observable:

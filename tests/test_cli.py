@@ -370,6 +370,15 @@ USAGE_ERRORS = {
     "unwritable_out": (["chsh-exact", "--out", "{dir}/missing/x.json"], None, None, 1,
                        "error: cannot write {dir}/missing/x.json: [Errno 2] "
                        "No such file or directory: '{dir}/missing/x.json'"),
+    "empty_out_flag": (["classical-bound", "--out", ""], None, None, 2,
+                       "error: out must be a non-empty path"),
+    "empty_out_config": (["classical-bound"], '{"out": ""}', None, 2,
+                         "error: out must be a non-empty path"),
+    # flags are never abbreviated: a prefix is an unknown argument
+    "flag_prefix": (["chsh-sample", "--sh", "5"], None, None, 2,
+                    "bellwigner: error: unrecognized arguments: --sh 5"),
+    "ambiguous_flag_prefix": (["chsh-sample", "--se", "1"], None, None, 2,
+                              "bellwigner: error: unrecognized arguments: --se 1"),
 }
 
 

@@ -5,7 +5,9 @@ Regenerate (only when an output change is intended) with
 """
 
 import contextlib
+import csv
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -61,6 +63,14 @@ def test_stdout_matches_golden(filename, argv):
     status, out = run_stdout(argv)
     assert status == 0
     assert out == (GOLDEN_DIR / filename).read_bytes()
+    # parsing and re-emitting the document gives the same bytes
+    if filename.endswith(".json"):
+        again = json.dumps(json.loads(out), indent=2, allow_nan=False) + "\n"
+    else:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(csv.reader(io.StringIO(out.decode())))
+        again = buffer.getvalue()
+    assert again.encode() == out
 
 
 if __name__ == "__main__":

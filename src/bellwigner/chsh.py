@@ -10,9 +10,10 @@ The engine takes a 16-dim state or an ensemble, a sequence of branches with
 the ensemble of itself with weight 1. An ensemble's correlators and outcome
 tables are the Born-weighted averages of its branches'.
 
-Sampling determinism: each setting pair (i, j) draws from its own generator
-seeded by hashing (seed, i, j), so the four settings can be sampled in any
-order, serially or in parallel, and reproduce identical reports bit for bit.
+Sampling draws the outcome-cell counts of each setting pair (i, j) at once,
+so time and memory do not grow with the shot count, from a generator seeded
+by hashing (seed, i, j): the four settings can be sampled in any order,
+serially or in parallel, and reproduce identical reports bit for bit.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ from .states import StateVector
 
 SETTING_PAIRS = ((1, 1), (1, 0), (0, 1), (0, 0))
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
-
-# Most draws one sampling call makes. A sampled CHSH run holds a few float64
-# and int64 arrays of the shot count, so 10^7 keeps its peak near 0.5 GB.
-MAX_DRAWS = 10 ** 7
 
 _S_CONSISTENCY_TOL = 1e-12
 
@@ -119,14 +116,16 @@ def _born_sum(state: StateVector | Sequence, value):
     """Born-weighted sum of ``value(branch.state)`` over an ensemble.
 
     A bare state is the ensemble of itself with weight 1, whose sum is
-    ``value(state)`` bit for bit. The sum starts from the first term, not
-    from 0.0, which would turn a -0.0 into 0.0.
+    ``value(state)`` bit for bit; an ensemble's weights must sum to 1 within
+    1e-12. The sum starts from the first term, not from 0.0, which would
+    turn a -0.0 into 0.0.
     """
     if isinstance(state, StateVector):
         return value(state)
+    total = math.fsum(branch.weight for branch in state)
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"ensemble weights sum to {total!r}, not 1")
     terms = [branch.weight * value(branch.state) for branch in state]
-    if not terms:
-        raise ValueError("an ensemble needs at least one branch")
     return sum(terms[1:], terms[0])
 
 
@@ -171,30 +170,30 @@ def sample_products(
     products: np.ndarray,
     shots: int,
     stream_key: tuple[int, ...],
-) -> np.ndarray:
-    """Inverse-CDF draw of `shots` outcome products from one setting's table.
+) -> tuple[float, float]:
+    """Mean and ddof=1 variance of `shots` outcome products drawn from one setting's table.
 
-    The generator is seeded from the full ``stream_key`` tuple, so every
-    setting (and caller) owns an independent, reproducible stream. At most
-    ``MAX_DRAWS`` shots are drawn in one call.
+    One multinomial draw gives every cell's count, in table order, and the
+    statistics follow from the counts; no per-shot array is built. The
+    generator is seeded from the full ``stream_key`` tuple, so every setting
+    (and caller) owns an independent, reproducible stream.
     """
-    if shots > MAX_DRAWS:
-        raise ValueError(f"shots {shots} exceeds the cap of {MAX_DRAWS} draws per call")
     probs = np.clip(np.asarray(probabilities, dtype=float), 0.0, None)
-    cdf = np.cumsum(probs)
-    if cdf[-1] <= 0.0:
+    total = probs.sum()
+    if total <= 0.0:
         raise ValueError("outcome probabilities sum to zero")
-    cdf /= cdf[-1]
-    rng = np.random.default_rng(stream_key)
-    draws = rng.random(shots)
-    return np.asarray(products, dtype=float)[np.searchsorted(cdf, draws, side="right")]
+    counts = np.random.default_rng(stream_key).multinomial(shots, probs / total)
+    values = np.asarray(products, dtype=float)
+    mean = float(counts @ values) / shots
+    # sum n (x - m)^2 rather than sum n x^2 - N m^2, which cancels
+    return mean, float(counts @ (values - mean) ** 2) / (shots - 1)
 
 
 def sample_setting_products(
     state: StateVector | Sequence, i: int, j: int, shots: int, seed: int
-) -> np.ndarray:
-    """Products a*b of `shots` joint outcomes of setting (i, j), drawn from
-    the mixture table of an ensemble: its branches' Born-weighted tables."""
+) -> tuple[float, float]:
+    """Mean and ddof=1 variance of the products a*b of `shots` joint outcomes of setting
+    (i, j), drawn from the mixture table of an ensemble: its branches' Born-weighted tables."""
     mixture = _born_sum(state, lambda branch: np.array(
         [cell.joint_probability for cell in joint_distribution(branch, i, j)]))
     products = np.array([a_value * b_value for a_value, b_value, _ in _outcome_cells(i, j)])
@@ -202,22 +201,17 @@ def sample_setting_products(
 
 
 def report_from_setting_products(
-    setting_products: dict[tuple[int, int], np.ndarray], shots: int
+    setting_stats: dict[tuple[int, int], tuple[float, float]], shots: int
 ) -> ChshReport:
-    """Assemble a sampled report from per-setting outcome-product arrays.
+    """Assemble a sampled report from per-setting (mean, variance) pairs.
 
     The standard error combines per-setting sample variances in quadrature:
     SE = sqrt(sum_ij var_ij / shots); sigma_violation = (S - 2) / SE, or
     None when SE is 0 (every setting drew a single outcome product).
     """
-    correlators = {}
-    variance_sum = 0.0
-    for pair in SETTING_PAIRS:
-        products = setting_products[pair]
-        correlators[pair] = float(np.mean(products))
-        variance_sum += float(np.var(products, ddof=1))
+    correlators = {pair: setting_stats[pair][0] for pair in SETTING_PAIRS}
     s_value = s_from_correlators(correlators)
-    standard_error = math.sqrt(variance_sum / shots)
+    standard_error = math.sqrt(sum(setting_stats[pair][1] for pair in SETTING_PAIRS) / shots)
     sigma = (s_value - 2.0) / standard_error if standard_error > 0.0 else None
     return ChshReport(
         "sampled", correlators, s_value,
@@ -229,11 +223,13 @@ def chsh_sampled(state: StateVector | Sequence, shots_per_setting: int, seed: in
     """Monte Carlo CHSH run on a state or an ensemble: seeded, reproducible bit for bit."""
     if shots_per_setting < 2:
         raise ValueError("shots_per_setting must be at least 2 (sample variance)")
-    setting_products = {
+    if shots_per_setting > 2 ** 63 - 1:  # outcome counts are int64
+        raise ValueError(f"shots {shots_per_setting} exceeds the bound of 2**63 - 1 per setting")
+    setting_stats = {
         (i, j): sample_setting_products(state, i, j, shots_per_setting, seed)
         for i, j in SETTING_PAIRS
     }
-    return report_from_setting_products(setting_products, shots_per_setting)
+    return report_from_setting_products(setting_stats, shots_per_setting)
 
 
 def classical_assignments(

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chsh as chsh_engine
-from .chsh import MAX_DRAWS, ChshReport
+from .chsh import ChshReport
 from .states import FRIEND_LABELS, StateVector, basis_labels, bell_wigner_state
 
 MICROSCOPIC = "microscopic"
@@ -102,6 +102,10 @@ class GrwSimResult:
             "collapsed_fraction": self.collapsed_fraction,
             "mean_collapse_time_s": self.mean_collapse_time_s,
         }
+
+
+# Most trials per grw_simulate call; at 10^7 its float64 trial arrays peak near 260 MiB.
+MAX_DRAWS = 10 ** 7
 
 
 def grw_simulate(params: GrwParams, trials: int, seed: int) -> GrwSimResult:

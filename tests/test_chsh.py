@@ -3,12 +3,12 @@
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bellwigner.chsh import (
-    MAX_DRAWS,
     SETTING_PAIRS,
     TSIRELSON_BOUND,
     ChshReport,
@@ -200,9 +200,9 @@ def test_sampled_correlators_converge():
     exact = chsh_exact(state)
     shots = 1_000_000
     for pair in SETTING_PAIRS:
-        products = sample_setting_products(state, *pair, shots, seed=31)
-        per_setting_se = math.sqrt(np.var(products, ddof=1) / shots)
-        assert abs(np.mean(products) - exact.correlators[pair]) <= 5 * per_setting_se
+        mean, variance = sample_setting_products(state, *pair, shots, seed=31)
+        per_setting_se = math.sqrt(variance / shots)
+        assert abs(mean - exact.correlators[pair]) <= 5 * per_setting_se
 
 
 def test_tsirelson_ceiling_over_random_states():
@@ -231,9 +231,21 @@ def test_sampled_rejects_too_few_shots():
         chsh_sampled(bell_wigner_state(), 1, seed=0)
 
 
-def test_sample_products_caps_draws_per_call():
-    probabilities, products = np.array([0.5, 0.5]), np.array([1.0, -1.0])
-    with pytest.raises(ValueError, match=f"shots {MAX_DRAWS + 1} exceeds the cap of {MAX_DRAWS}"):
-        sample_products(probabilities, products, MAX_DRAWS + 1, (0, 1, 1))
-    with pytest.raises(ValueError, match="exceeds the cap"):
-        chsh_sampled(bell_wigner_state(), 10 ** 11, seed=0)
+def test_sampled_shots_bound_is_int64():
+    # counts, not shots, are drawn: the largest int64 shot count is one draw per setting
+    report = chsh_sampled(bell_wigner_state(), 2 ** 63 - 1, seed=0)
+    assert 0.0 < report.standard_error < 1e-9
+    assert abs(report.s_value - TSIRELSON_BOUND) <= 6 * report.standard_error
+    with pytest.raises(ValueError, match=r"shots 9223372036854775808 exceeds the bound of 2\*\*63 - 1"):
+        chsh_sampled(bell_wigner_state(), 2 ** 63, seed=0)
+
+
+def test_sample_variance_from_counts_does_not_cancel():
+    # one outcome in 10^13 at 2**62 shots: sum n x^2 - N m^2 keeps ~4 digits
+    probabilities, products = np.array([1 - 1e-13, 1e-13]), np.array([1.0, -1.0])
+    shots, key = 2 ** 62, (0, 1, 1)
+    rare = int(np.random.default_rng(key).multinomial(shots, probabilities)[1])
+    mean, variance = sample_products(probabilities, products, shots, key)
+    assert mean == pytest.approx(1 - 2 * rare / shots, rel=0.0, abs=1e-15)
+    exact = Fraction(4 * rare * (shots - rare), shots * (shots - 1))
+    assert abs(variance / exact - 1) <= 1e-9

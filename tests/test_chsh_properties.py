@@ -8,6 +8,7 @@ table of an ensemble is its Born-weighted sum of branch tables.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,7 @@ from bellwigner.chsh import (
     sample_setting_products,
 )
 from bellwigner.interpretations import Branch
-from bellwigner.states import FULL_LAYOUT, StateVector
+from bellwigner.states import FULL_LAYOUT, StateVector, bell_wigner_state
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 unit_floats = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
@@ -106,7 +107,38 @@ def test_one_branch_of_weight_one_is_the_bare_state_bit_for_bit(state, seed):
     assert repr(chsh_sampled(one, 50, seed)) == repr(chsh_sampled(state, 50, seed))
     for i, j in SETTING_PAIRS:
         drawn = sample_setting_products(state, i, j, 50, seed)
-        assert sample_setting_products(one, i, j, 50, seed).tobytes() == drawn.tobytes()
+        assert repr(sample_setting_products(one, i, j, 50, seed)) == repr(drawn)
         # the draws come from the setting's own table and stream
         a, b, p = table(state, i, j)
-        assert sample_products(p, a * b, 50, (seed, i, j)).tobytes() == drawn.tobytes()
+        assert repr(sample_products(p, a * b, 50, (seed, i, j))) == repr(drawn)
+
+
+@st.composite
+def outcome_tables(draw):
+    """(unnormalized probabilities, outcome products) of a random table."""
+    size = draw(st.integers(1, 9))
+    probabilities = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+    assume(probabilities.sum() > 0.0)
+    products = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=size, max_size=size))
+    return probabilities, np.array(products)
+
+
+@PROPERTY
+@given(outcome_tables(), st.integers(2, 200), st.integers(0, 2 ** 32),
+       st.sampled_from(SETTING_PAIRS))
+def test_counts_give_the_statistics_of_the_shots_they_count(outcome_table, shots, seed, pair):
+    p, products = outcome_table
+    key = (seed, *pair)
+    shots_drawn = np.repeat(products, np.random.default_rng(key).multinomial(shots, p / p.sum()))
+    mean, variance = sample_products(p, products, shots, key)
+    assert abs(mean - np.mean(shots_drawn)) <= 1e-12
+    assert abs(variance - np.var(shots_drawn, ddof=1)) <= 1e-12
+
+
+@pytest.mark.parametrize("total", [0.5, 2.0])
+def test_exact_and_sampled_reject_weights_that_do_not_sum_to_one(total):
+    ensemble = [Branch(total, bell_wigner_state(), "scaled")]
+    with pytest.raises(ValueError, match=f"ensemble weights sum to {total!r}, not 1"):
+        chsh_exact(ensemble)
+    with pytest.raises(ValueError, match=f"ensemble weights sum to {total!r}, not 1"):
+        chsh_sampled(ensemble, 1000, seed=1)

@@ -301,13 +301,13 @@ def _reject_constant(name):
 
 def test_chsh_sample_with_zero_standard_error_is_strict(capsys):
     # two shots that draw one outcome product per setting give SE = 0
-    status, out, _ = run_cli(capsys, "chsh-sample", "--shots", "2", "--seed", "3")
+    status, out, _ = run_cli(capsys, "chsh-sample", "--shots", "2", "--seed", "4")
     assert status == 0
     doc = json.loads(out, parse_constant=_reject_constant)
     assert doc["standard_error"] == 0.0
     assert doc["sigma_violation"] is None
 
-    status, out, _ = run_cli(capsys, "chsh-sample", "--shots", "2", "--seed", "3",
+    status, out, _ = run_cli(capsys, "chsh-sample", "--shots", "2", "--seed", "4",
                              "--format", "csv")
     assert status == 0
     header, row = list(csv.reader(out.splitlines()))
@@ -411,11 +411,11 @@ REFUSED_RUNS = {
     "grw_prob_duration_overflow": (
         ["grw-prob", "--n", "1e200", "--t", "1e200", "--rate", "0"],
         "error: n_particles * duration_s overflows: 1e+200 * 1e+200"),
-    "shots_cap": (["chsh-sample", "--shots", "100000000000"],
-                  "error: shots 100000000000 exceeds the cap of 10000000 draws per call"),
+    "shots_cap": (["chsh-sample", "--shots", "9223372036854775808"],
+                  "error: shots 9223372036854775808 exceeds the bound of 2**63 - 1 per setting"),
     "agreement_shots_cap": (
-        ["agreement", "--sampled", "--shots", "100000000000"],
-        "error: shots 100000000000 exceeds the cap of 10000000 draws per call"),
+        ["agreement", "--sampled", "--shots", "9223372036854775808"],
+        "error: shots 9223372036854775808 exceeds the bound of 2**63 - 1 per setting"),
     "trials_cap": (["grw-sim", "--trials", "100000000000"],
                    "error: trials 100000000000 exceeds the cap of 10000000 draws per call"),
 }

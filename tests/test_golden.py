@@ -30,7 +30,7 @@ CASES = {
     "chsh_exact": ("chsh-exact",),
     "chsh_sample": ("chsh-sample", "--shots", "1000", "--seed", "42"),
     # two shots that draw one outcome product per setting: SE = 0
-    "chsh_sample_zero_se": ("chsh-sample", "--shots", "2", "--seed", "3"),
+    "chsh_sample_zero_se": ("chsh-sample", "--shots", "2", "--seed", "4"),
     "classical_bound": ("classical-bound",),
     **{f"distribution_{s}": ("distribution", "--setting", s) for s in ("00", "01", "10", "11")},
     "verify_algebra": ("verify-algebra",),

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bellwigner.chsh import MAX_DRAWS, SETTING_PAIRS, chsh_exact, joint_distribution
+from bellwigner.chsh import SETTING_PAIRS, chsh_exact, joint_distribution
 from bellwigner.interpretations import (
     _ENSEMBLE_BUILDERS,
     ATOM_PARAMS,
     INSTRUMENT_PARAMS,
+    MAX_DRAWS,
     FriendScale,
     GrwParams,
     _friend_branches,

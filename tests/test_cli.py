@@ -45,6 +45,17 @@ def test_grw_prob_subcommand(capsys):
     assert doc["exact"] < doc["linear"]
 
 
+@pytest.mark.parametrize("flag", ["--rate", "--t"])
+def test_grw_prob_prints_no_negative_zero(capsys, flag):
+    # -0.0 passes the non-negative check, and min(1.0, -0.0) and -expm1(0.0) keep its sign
+    status, out, _ = run_cli(capsys, "grw-prob", flag, "-0.0")
+    assert status == 0
+    assert out == '{\n  "linear": 0.0,\n  "exact": 0.0\n}\n'
+    status, out, _ = run_cli(capsys, "grw-prob", flag, "-0.0", "--format", "csv")
+    assert status == 0
+    assert out == "linear,exact\n0.0,0.0\n"
+
+
 def test_grw_sim_subcommand(capsys):
     status, out, _ = run_cli(capsys, "grw-sim", "--n", "1e25", "--t", "1e-9",
                              "--rate", "1e-16", "--trials", "20000", "--seed", "3")

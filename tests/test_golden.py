@@ -42,6 +42,11 @@ CASES = {
        for name in ("plus-photon", "correlated", "entangled-pair", "bell-wigner")},
     **{f"dump_observable_{label}": ("dump-observable", label)
        for label in ("A0", "A1", "B0", "B1")},
+    # more trials than one block of the streamed GRW kernel (listed last, so
+    # the cases above keep their test ids)
+    "grw_sim_blocks": (
+        "grw-sim", "--n", "1e25", "--t", "1e-9", "--trials", "100000", "--seed", "7"
+    ),
 }
 
 

@@ -1,6 +1,7 @@
 """Tests for the interpretation backends and the agreement report."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 from bellwigner.chsh import SETTING_PAIRS, chsh_exact, joint_distribution
 from bellwigner.interpretations import (
     _ENSEMBLE_BUILDERS,
+    _GRW_BLOCK,
     ATOM_PARAMS,
     INSTRUMENT_PARAMS,
     MAX_DRAWS,
     FriendScale,
     GrwParams,
+    GrwSimResult,
     _friend_branches,
     agreement_report,
     grw_collapse_state,
@@ -426,3 +429,43 @@ def test_grw_params_accept_finite_products_at_the_edge():
 def test_grw_simulate_caps_draws_per_call():
     with pytest.raises(ValueError, match=f"trials {MAX_DRAWS + 1} exceeds the cap of {MAX_DRAWS}"):
         grw_simulate(ATOM_PARAMS, MAX_DRAWS + 1, seed=0)
+
+
+def one_shot_grw(params, trials, seed):
+    """Reference: grw_simulate's formula over all trials in one pass."""
+    times = -np.log1p(-np.random.default_rng(seed).random(trials)) / params.total_rate
+    collapsed = (times > 0.0) & (times <= params.duration_s)
+    count = int(np.count_nonzero(collapsed))
+    mean_time = float(times[collapsed].mean()) if count else None
+    return GrwSimResult(count / trials, mean_time)
+
+
+BLOCK_EDGES = (1, _GRW_BLOCK - 1, _GRW_BLOCK, _GRW_BLOCK + 1, 2 * _GRW_BLOCK + 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    trials=st.sampled_from(BLOCK_EDGES) | st.integers(1, 4 * _GRW_BLOCK),
+    # total rate 1e9 /s: the mean first-collapse time is 1 ns
+    duration=st.sampled_from((0.0, 1e-12, 1e3)) | st.floats(0.3e-9, 2e-9),
+    seed=st.integers(0, 2 ** 64 - 1),
+)
+def test_grw_simulate_in_blocks_matches_one_pass_bit_for_bit(trials, duration, seed):
+    params = GrwParams(1e25, duration, 1e-16)
+    expected = one_shot_grw(params, trials, seed)
+    assert repr(grw_simulate(params, trials, seed)) == repr(expected)
+
+
+def test_grw_simulate_memory_is_the_times_plus_one_block():
+    # every trial collapses, so every time is kept; numpy reports its
+    # buffers to tracemalloc
+    params, trials = GrwParams(1e25, 1e-6, 1e-16), 10 ** 6
+    grw_simulate(params, 10, seed=2)  # what numpy imports lazily is loaded first
+    tracemalloc.start()
+    try:
+        result = grw_simulate(params, trials, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.collapsed_fraction == 1.0
+    assert peak <= 8 * trials + 2 * 2 ** 20

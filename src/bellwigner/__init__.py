@@ -26,24 +26,17 @@ from .interpretations import (
     GrwParams,
     GrwSimResult,
     INSTRUMENT_PARAMS,
-    PilotWaveOutcome,
     agreement_report,
-    grw_collapse_state,
     grw_exact_probability,
     grw_linear_probability,
     grw_simulate,
     many_worlds_branches,
-    pilot_wave_effective_state,
 )
 from .observables import (
     AlgebraReport,
     Observable,
     lift,
     lifted_spectrum,
-    make_a0,
-    make_a1,
-    make_b0,
-    make_b1,
     make_observable,
     verify_algebra,
 )
@@ -71,7 +64,6 @@ __all__ = [
     "INSTRUMENT_PARAMS",
     "JointOutcome",
     "Observable",
-    "PilotWaveOutcome",
     "StateVector",
     "TSIRELSON_BOUND",
     "agreement_report",
@@ -83,20 +75,14 @@ __all__ = [
     "classical_max",
     "correlate_friend",
     "entangled_pair",
-    "grw_collapse_state",
     "grw_exact_probability",
     "grw_linear_probability",
     "grw_simulate",
     "joint_distribution",
     "lift",
     "lifted_spectrum",
-    "make_a0",
-    "make_a1",
-    "make_b0",
-    "make_b1",
     "make_observable",
     "many_worlds_branches",
-    "pilot_wave_effective_state",
     "plus_photon",
     "s_from_correlators",
     "verify_algebra",

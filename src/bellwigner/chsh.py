@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -116,14 +117,16 @@ def _born_sum(state: StateVector | Sequence, value):
     """Born-weighted sum of ``value(branch.state)`` over an ensemble.
 
     A bare state is the ensemble of itself with weight 1, whose sum is
-    ``value(state)`` bit for bit; an ensemble's weights must sum to 1 within
-    1e-12. The sum starts from the first term, not from 0.0, which would
-    turn a -0.0 into 0.0.
+    ``value(state)`` bit for bit; an ensemble's weights must be non-negative
+    and sum to 1 within 1e-12. The sum starts from the first term, not from
+    0.0, which would turn a -0.0 into 0.0.
     """
     if isinstance(state, StateVector):
         return value(state)
+    if any(branch.weight < 0.0 for branch in state):
+        raise ValueError("ensemble weights must be non-negative")
     total = math.fsum(branch.weight for branch in state)
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:  # written so that a nan total fails
         raise ValueError(f"ensemble weights sum to {total!r}, not 1")
     terms = [branch.weight * value(branch.state) for branch in state]
     return sum(terms[1:], terms[0])
@@ -221,6 +224,8 @@ def report_from_setting_products(
 
 def chsh_sampled(state: StateVector | Sequence, shots_per_setting: int, seed: int) -> ChshReport:
     """Monte Carlo CHSH run on a state or an ensemble: seeded, reproducible bit for bit."""
+    # floats raise TypeError; numpy integers become an int that JSON can serialize
+    shots_per_setting = operator.index(shots_per_setting)
     if shots_per_setting < 2:
         raise ValueError("shots_per_setting must be at least 2 (sample variance)")
     if shots_per_setting > 2 ** 63 - 1:  # outcome counts are int64

@@ -388,9 +388,5 @@ def main(argv: list[str] | None = None) -> int:
     return status
 
 
-# spec name for the entry point: run(argv) -> exit status
-run = main
-
-
 if __name__ == "__main__":
     sys.exit(main())

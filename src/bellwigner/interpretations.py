@@ -17,8 +17,7 @@ when that verdict applies:
 What the verdict does is the same for all three: one map dephases the state
 in the friends' record basis. This module only chooses each backend's
 ensemble (the branches, or the untouched state); the CHSH engine averages
-its statistics over the branches. A single collapse run instead draws one
-correlated term by a seeded Born selection.
+its statistics over the branches.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 
 from . import chsh as chsh_engine
 from .chsh import ChshReport
-from .states import FRIEND_LABELS, StateVector, basis_labels, bell_wigner_state
+from .states import FRIEND_LABELS, StateVector, bell_wigner_state
 
 MICROSCOPIC = "microscopic"
 MACROSCOPIC = "macroscopic"
@@ -41,7 +40,6 @@ BACKENDS = ("pilot_wave", "grw", "many_worlds")
 MICRO_MAX_PARTICLES = 1e6
 MACRO_MIN_PARTICLES = 1e20
 MIN_TOTAL_RATE = 1e-30
-SUPPORT_LEAKAGE_TOL = 1e-9
 BRANCH_WEIGHT_FLOOR = 1e-15
 AGREEMENT_TOL = 1e-12
 
@@ -169,43 +167,6 @@ def _require_pair_state(state: StateVector) -> StateVector:
     return state
 
 
-def _born_select_term(state: StateVector, seed: int) -> Branch:
-    """Pick one correlated term with its Born weight; keep the term's phase.
-
-    Accepts either correlation convention: support on {|h,F_h>, |v,F_v>} or
-    on {|h,F_v>, |v,F_h>}, with at most 1e-9 of norm leaking outside the
-    chosen pair.
-    """
-    amps = state.amplitudes
-    # on the photon x friend grid the aligned pair is the diagonal and the
-    # anti-aligned pair its complement
-    for correlated in (np.eye(2, dtype=bool), ~np.eye(2, dtype=bool)):
-        if np.linalg.norm(amps.reshape(2, 2)[~correlated]) <= SUPPORT_LEAKAGE_TOL:
-            break
-    else:
-        raise ValueError("state has non-negligible support outside a correlated ket pair")
-    pair = np.flatnonzero(correlated)
-    # scalar abs: numpy's vectorized abs can round the last bit differently
-    weights = np.array([abs(amps[k]) ** 2 for k in pair])
-    weights /= weights.sum()
-    pick = 0 if np.random.default_rng(seed).random() < weights[0] else 1
-    index = pair[pick]
-    branch_amps = np.zeros(4, dtype=complex)
-    branch_amps[index] = amps[index] / abs(amps[index])
-    label = "·".join(basis_labels(state.subsystems, index))
-    return Branch(weights[pick], StateVector(state.subsystems, branch_amps), label)
-
-
-def grw_collapse_state(state: StateVector, seed: int) -> Branch:
-    """Spontaneous localization of a correlated photon-friend state.
-
-    One correlated term survives, selected with its Born weight by the
-    seeded generator; the returned branch is normalized and records the
-    selection weight.
-    """
-    return _born_select_term(_require_pair_state(state), seed)
-
-
 def _friend_branches(state: StateVector) -> list[Branch]:
     """Dephase a state in its friends' record basis: one branch per record.
 
@@ -270,34 +231,6 @@ class FriendScale:
     @classmethod
     def macroscopic(cls, grw: GrwParams = INSTRUMENT_PARAMS) -> "FriendScale":
         return cls(MACROSCOPIC, grw)
-
-
-@dataclass(frozen=True)
-class PilotWaveOutcome:
-    """Either the untouched state (kept) or one effective branch (collapsed)."""
-
-    kept: StateVector | None = None
-    collapsed: Branch | None = None
-
-    def __post_init__(self):
-        if (self.kept is None) == (self.collapsed is None):
-            raise ValueError("exactly one of kept/collapsed must be set")
-
-
-def pilot_wave_effective_state(
-    state: StateVector, scale: FriendScale, seed: int
-) -> PilotWaveOutcome:
-    """Pilot-wave verdict on a correlated photon-friend state.
-
-    An atom's support regions can keep overlapping in configuration space,
-    so the full state is returned untouched. An instrument's configuration
-    concentrates in one region; the result is one Born-weighted branch,
-    statistically identical to spontaneous-localization collapse.
-    """
-    _require_pair_state(state)
-    if scale.kind == MICROSCOPIC:
-        return PilotWaveOutcome(kept=state)
-    return PilotWaveOutcome(collapsed=_born_select_term(state, seed))
 
 
 def _friends_macroscopic(scale: FriendScale) -> bool:

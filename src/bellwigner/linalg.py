@@ -2,8 +2,8 @@
 
 Everything works on plain ``complex128`` numpy arrays. Storage is dense and
 there is no eigensolver: every spectral decomposition in this package is
-written down analytically. Tolerances are absolute and default to 1e-12.
-All functions are pure; nothing here mutates its arguments.
+written down analytically. Every tolerance is the absolute ``DEFAULT_TOL``,
+1e-12. All functions are pure; nothing here mutates its arguments.
 """
 
 from __future__ import annotations
@@ -40,46 +40,38 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
+def is_hermitian(m) -> bool:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         return False
-    return frobenius_norm(a - a.conj().T) <= tol
+    return frobenius_norm(a - a.conj().T) <= DEFAULT_TOL
 
 
-def is_projector(m, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ||m@m - m||_F <= tol and m is Hermitian within tol."""
+def is_projector(m) -> bool:
+    """True iff ||m@m - m||_F <= 1e-12 and m is Hermitian within 1e-12."""
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"projector test needs a square matrix, got {a.shape}")
-    return frobenius_norm(a @ a - a) <= tol and is_hermitian(a, tol)
+    return frobenius_norm(a @ a - a) <= DEFAULT_TOL and is_hermitian(a)
 
 
-def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"unitarity test needs a square matrix, got {a.shape}")
-    eye = np.eye(a.shape[0], dtype=complex)
-    return frobenius_norm(a.conj().T @ a - eye) <= tol
-
-
-def expectation(psi, m, tol: float = DEFAULT_TOL) -> float:
+def expectation(psi, m) -> float:
     """Real expectation value <psi| m |psi> of a Hermitian matrix.
 
     Raises ValueError on dimension mismatch, a non-Hermitian matrix, or a
     non-normalized state. The imaginary residue of the quadratic form is
-    required to stay below ``tol``.
+    required to stay below 1e-12.
     """
     v = _as_array(psi, 1)
     a = as_matrix(m)
     if a.shape != (v.shape[0], v.shape[0]):
         raise ValueError(f"dimension mismatch: state dim {v.shape[0]}, matrix {a.shape}")
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         raise ValueError("expectation requires a Hermitian matrix")
-    if abs(np.linalg.norm(v) - 1.0) > tol:
+    if abs(np.linalg.norm(v) - 1.0) > DEFAULT_TOL:
         raise ValueError("expectation requires a normalized state")
     value = np.vdot(v, a @ v)
-    if abs(value.imag) > tol:
+    if abs(value.imag) > DEFAULT_TOL:
         raise ValueError(f"imaginary residue {value.imag:.3e} exceeds tolerance")
     return float(value.real)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import commutator_norm, frobenius_norm, kron
+from .linalg import DEFAULT_TOL, commutator_norm, frobenius_norm, kron
 from .states import basis_index
 
 ALICE = "alice"
@@ -110,10 +110,6 @@ def make_observable(label: str) -> Observable:
     return build(ALICE if label[0] == "A" else BOB, label)
 
 
-make_a0, make_a1, make_b0, make_b1 = (
-    functools.partial(make_observable, label) for label in OBSERVABLE_LABELS)
-
-
 def alice_observable(setting: int) -> Observable:
     return make_observable(f"A{_check_setting(setting)}")
 
@@ -195,7 +191,6 @@ def verify_algebra(
     a1: Observable | None = None,
     b0: Observable | None = None,
     b1: Observable | None = None,
-    tol: float = 1e-12,
 ) -> AlgebraReport:
     """Run every algebraic identity the observables must satisfy.
 
@@ -207,10 +202,10 @@ def verify_algebra(
     reconstructs its matrix, has the expected outcome values and projector
     ranks, and consists of orthogonal projectors summing to the identity.
     """
-    a0 = a0 or make_a0()
-    a1 = a1 or make_a1()
-    b0 = b0 or make_b0()
-    b1 = b1 or make_b1()
+    a0 = a0 or make_observable("A0")
+    a1 = a1 or make_observable("A1")
+    b0 = b0 or make_observable("B0")
+    b1 = b1 or make_observable("B1")
     support = _correlated_support()
     checks: list[AlgebraCheck] = []
 
@@ -224,7 +219,7 @@ def verify_algebra(
         (b1, support, "B1_squared_support"),
     ):
         residual = frobenius_norm(obs.matrix @ obs.matrix - target)
-        add(name, residual <= tol, residual)
+        add(name, residual <= DEFAULT_TOL, residual)
 
     for alice_obs in (a0, a1):
         for bob_obs in (b0, b1):
@@ -238,7 +233,7 @@ def verify_algebra(
     for obs in (a0, a1, b0, b1):
         recon = sum(value * p for value, p in obs.spectrum)
         residual = frobenius_norm(recon - obs.matrix)
-        add(f"spectrum_reconstruction_{obs.label}", residual <= tol, residual)
+        add(f"spectrum_reconstruction_{obs.label}", residual <= DEFAULT_TOL, residual)
 
         expected = _EXPECTED_SPECTRA[obs.label[1]]
         values = tuple(value for value, _ in obs.spectrum)
@@ -259,6 +254,6 @@ def verify_algebra(
             for q in projectors[i + 1:]:
                 worst = max(worst, frobenius_norm(p @ q))
         worst = max(worst, frobenius_norm(sum(projectors) - _I4))
-        add(f"spectrum_projectors_{obs.label}", worst <= tol, worst)
+        add(f"spectrum_projectors_{obs.label}", worst <= DEFAULT_TOL, worst)
 
     return AlgebraReport(tuple(checks))

@@ -240,6 +240,15 @@ def test_sampled_shots_bound_is_int64():
         chsh_sampled(bell_wigner_state(), 2 ** 63, seed=0)
 
 
+def test_sampled_shot_count_must_be_an_integer():
+    for shots in (2.5, 1000.0):
+        with pytest.raises(TypeError):
+            chsh_sampled(bell_wigner_state(), shots, seed=0)
+    report = chsh_sampled(bell_wigner_state(), np.int64(1000), seed=0)
+    assert report == chsh_sampled(bell_wigner_state(), 1000, seed=0)
+    assert type(report.shots_per_setting) is int
+
+
 def test_sample_variance_from_counts_does_not_cancel():
     # one outcome in 10^13 at 2**62 shots: sum n x^2 - N m^2 keeps ~4 digits
     probabilities, products = np.array([1 - 1e-13, 1e-13]), np.array([1.0, -1.0])

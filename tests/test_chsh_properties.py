@@ -21,7 +21,7 @@ from bellwigner.chsh import (
     sample_products,
     sample_setting_products,
 )
-from bellwigner.interpretations import Branch
+from bellwigner.interpretations import Branch, _friend_branches
 from bellwigner.states import FULL_LAYOUT, StateVector, bell_wigner_state
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -135,10 +135,20 @@ def test_counts_give_the_statistics_of_the_shots_they_count(outcome_table, shots
     assert abs(variance - np.var(shots_drawn, ddof=1)) <= 1e-12
 
 
-@pytest.mark.parametrize("total", [0.5, 2.0])
+@pytest.mark.parametrize("total", [0.5, 2.0, math.nan])
 def test_exact_and_sampled_reject_weights_that_do_not_sum_to_one(total):
     ensemble = [Branch(total, bell_wigner_state(), "scaled")]
     with pytest.raises(ValueError, match=f"ensemble weights sum to {total!r}, not 1"):
         chsh_exact(ensemble)
     with pytest.raises(ValueError, match=f"ensemble weights sum to {total!r}, not 1"):
+        chsh_sampled(ensemble, 1000, seed=1)
+
+
+def test_exact_and_sampled_reject_negative_weights():
+    # the weights sum to 1, but a sampled table would be clipped and renormalized
+    ensemble = [Branch(weight, branch.state, branch.label)
+                for weight, branch in zip((1.5, -0.5), _friend_branches(bell_wigner_state()))]
+    with pytest.raises(ValueError, match="non-negative"):
+        chsh_exact(ensemble)
+    with pytest.raises(ValueError, match="non-negative"):
         chsh_sampled(ensemble, 1000, seed=1)

@@ -20,12 +20,10 @@ from bellwigner.interpretations import (
     GrwSimResult,
     _friend_branches,
     agreement_report,
-    grw_collapse_state,
     grw_exact_probability,
     grw_linear_probability,
     grw_simulate,
     many_worlds_branches,
-    pilot_wave_effective_state,
 )
 from bellwigner.states import (
     FULL_LAYOUT,
@@ -152,47 +150,6 @@ def test_grw_simulate_rejects_bad_inputs():
         grw_simulate(GrwParams(1.0, 1.0, 1e-40), 10, seed=0)
 
 
-def test_grw_collapse_born_statistics():
-    state = correlate_friend(plus_photon(), "aligned")
-    counts = {"h·F_h": 0, "v·F_v": 0}
-    n_seeds = 10_000
-    for seed in range(n_seeds):
-        branch = grw_collapse_state(state, seed)
-        assert branch.weight == pytest.approx(0.5, abs=1e-12)
-        counts[branch.label] += 1
-    sigma = math.sqrt(n_seeds * 0.5 * 0.5)
-    assert abs(counts["h·F_h"] - n_seeds / 2) <= 3 * sigma
-
-
-def test_grw_collapse_biased_weights():
-    state = correlated_state(math.sqrt(0.9), math.sqrt(0.1))
-    n_seeds = 10_000
-    hits = sum(grw_collapse_state(state, seed).label == "h·F_h" for seed in range(n_seeds))
-    sigma = math.sqrt(n_seeds * 0.9 * 0.1)
-    assert abs(hits - 0.9 * n_seeds) <= 3 * sigma
-
-
-def test_grw_collapse_already_collapsed():
-    ket = basis_state(PAIR, ("h", "F_h"))
-    branch = grw_collapse_state(ket, seed=0)
-    assert branch.weight == 1.0
-    assert branch.label == "h·F_h"
-    assert np.array_equal(branch.state.amplitudes, ket.amplitudes)
-
-
-def test_grw_collapse_accepts_anti_aligned_support():
-    state = correlate_friend(plus_photon(), "anti_aligned")
-    branch = grw_collapse_state(state, seed=4)
-    assert branch.label in ("h·F_v", "v·F_h")
-
-
-def test_grw_collapse_rejects_leaky_support():
-    amps = np.array([0.7, 0.1, 0.0, 0.0], dtype=complex)
-    state = StateVector(PAIR, amps / np.linalg.norm(amps))
-    with pytest.raises(ValueError, match="support"):
-        grw_collapse_state(state, seed=0)
-
-
 def test_many_worlds_branches_of_correlated_state():
     branches = many_worlds_branches(correlate_friend(plus_photon(), "aligned"))
     assert [b.label for b in branches] == ["F_h", "F_v"]
@@ -258,38 +215,6 @@ def test_branch_ensembles_preserve_friend_distribution():
                 weight_in = sum(abs(branch.state.amplitudes[k]) ** 2 for k in indices)
                 total += branch.weight * weight_in
             assert total == pytest.approx(friend_probability[label], abs=1e-12)
-
-
-def test_pilot_wave_keeps_microscopic_state():
-    state = correlate_friend(plus_photon(), "aligned")
-    outcome = pilot_wave_effective_state(state, FriendScale.microscopic(), seed=0)
-    assert outcome.collapsed is None
-    assert outcome.kept is state  # untouched, bitwise identical
-
-
-def test_pilot_wave_collapses_macroscopic_state():
-    state = correlate_friend(plus_photon(), "aligned")
-    n_seeds = 10_000
-    hits = 0
-    for seed in range(n_seeds):
-        outcome = pilot_wave_effective_state(state, FriendScale.macroscopic(), seed)
-        assert outcome.kept is None
-        hits += outcome.collapsed.label == "h·F_h"
-    sigma = math.sqrt(n_seeds * 0.25)
-    assert abs(hits - n_seeds / 2) <= 3 * sigma
-
-
-def test_pilot_wave_matches_grw_selection_per_seed():
-    state = correlated_state(math.sqrt(0.7), math.sqrt(0.3))
-    for seed in range(50):
-        pw = pilot_wave_effective_state(state, FriendScale.macroscopic(), seed)
-        assert pw.collapsed == grw_collapse_state(state, seed)
-
-
-def test_pilot_wave_on_collapsed_input():
-    ket = basis_state(PAIR, ("h", "F_h"))
-    outcome = pilot_wave_effective_state(ket, FriendScale.macroscopic(), seed=3)
-    assert outcome.collapsed.weight == 1.0
 
 
 def test_friend_scale_bucket_validation():

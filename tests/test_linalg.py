@@ -11,7 +11,6 @@ from bellwigner.linalg import (
     frobenius_norm,
     is_hermitian,
     is_projector,
-    is_unitary,
     kron,
 )
 
@@ -154,9 +153,6 @@ def test_is_projector():
 def test_structure_predicates():
     assert is_hermitian(np.diag([1.0, -1.0]))
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-    assert is_unitary(hadamard, tol=1e-12)
-    assert not is_unitary(2 * hadamard, tol=1e-12)
 
 
 def test_rejects_nonfinite_entries():

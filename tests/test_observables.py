@@ -10,10 +10,6 @@ from bellwigner.observables import (
     Observable,
     lift,
     lifted_spectrum,
-    make_a0,
-    make_a1,
-    make_b0,
-    make_b1,
     make_observable,
     verify_algebra,
 )
@@ -28,19 +24,19 @@ def side_ket(photon, friend):
 
 
 def test_a0_reads_friend_record():
-    a0 = make_a0()
+    a0 = make_observable("A0")
     assert expectation(side_ket("h", "F_v"), a0.matrix) == pytest.approx(1.0, abs=1e-12)
     assert expectation(side_ket("h", "F_h"), a0.matrix) == pytest.approx(-1.0, abs=1e-12)
     assert expectation(side_ket("v", "F_v"), a0.matrix) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_a0_squared_is_identity_exactly():
-    a0 = make_a0()
+    a0 = make_observable("A0")
     assert np.array_equal(a0.matrix @ a0.matrix, I4)
 
 
 def test_a1_eigenvectors():
-    a1 = make_a1()
+    a1 = make_observable("A1")
     phi_plus = (side_ket("h", "F_v") + side_ket("v", "F_h")) / math.sqrt(2)
     assert expectation(phi_plus, a1.matrix) == pytest.approx(1.0, abs=1e-12)
     phi_minus = (side_ket("h", "F_v") - side_ket("v", "F_h")) / math.sqrt(2)
@@ -50,7 +46,7 @@ def test_a1_eigenvectors():
 
 
 def test_a1_squared_is_correlated_support():
-    a1 = make_a1()
+    a1 = make_observable("A1")
     support = np.outer(side_ket("h", "F_v"), side_ket("h", "F_v").conj()) + np.outer(
         side_ket("v", "F_h"), side_ket("v", "F_h").conj()
     )
@@ -60,9 +56,9 @@ def test_a1_squared_is_correlated_support():
 
 
 def test_bob_observables_mirror_alice():
-    assert np.array_equal(make_b0().matrix, make_a0().matrix)
-    assert np.array_equal(make_b1().matrix, make_a1().matrix)
-    assert make_b0().side == "bob" and make_a0().side == "alice"
+    assert np.array_equal(make_observable("B0").matrix, make_observable("A0").matrix)
+    assert np.array_equal(make_observable("B1").matrix, make_observable("A1").matrix)
+    assert make_observable("B0").side == "bob" and make_observable("A0").side == "alice"
 
 
 @pytest.mark.parametrize("label,values,ranks", [
@@ -86,27 +82,27 @@ def test_spectra_structure(label, values, ranks):
 def test_lift_orientation():
     # Alice acts on the leading pair, Bob on the trailing pair
     ket = basis_state(FULL_LAYOUT, ("h", "F_v", "v", "F_h")).amplitudes
-    assert np.allclose(lift(make_a0()) @ ket, ket, atol=1e-12)
-    assert np.allclose(lift(make_b0()) @ ket, -ket, atol=1e-12)
-    assert np.array_equal(lift(make_a0()), np.kron(make_a0().matrix, I4))
-    assert np.array_equal(lift(make_b0()), np.kron(I4, make_b0().matrix))
+    assert np.allclose(lift(make_observable("A0")) @ ket, ket, atol=1e-12)
+    assert np.allclose(lift(make_observable("B0")) @ ket, -ket, atol=1e-12)
+    assert np.array_equal(lift(make_observable("A0")), np.kron(make_observable("A0").matrix, I4))
+    assert np.array_equal(lift(make_observable("B0")), np.kron(I4, make_observable("B0").matrix))
 
 
 def test_lifted_sides_commute_exactly():
-    for alice in (make_a0(), make_a1()):
-        for bob in (make_b0(), make_b1()):
+    for alice in (make_observable("A0"), make_observable("A1")):
+        for bob in (make_observable("B0"), make_observable("B1")):
             assert commutator_norm(lift(alice), lift(bob)) == 0.0
 
 
 def test_lifted_a1_is_traceless():
-    assert np.trace(lift(make_a1())) == pytest.approx(0.0, abs=1e-12)
+    assert np.trace(lift(make_observable("A1"))) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lifted_spectrum_embeds_projectors():
-    for value, projector in lifted_spectrum(make_a1()):
+    for value, projector in lifted_spectrum(make_observable("A1")):
         assert projector.shape == (16, 16)
         assert is_projector(projector)
-    values = [v for v, _ in lifted_spectrum(make_b1())]
+    values = [v for v, _ in lifted_spectrum(make_observable("B1"))]
     assert values == [1.0, -1.0, 0.0]
 
 
@@ -128,7 +124,7 @@ def test_verify_algebra_passes_on_builtins():
 
 
 def test_verify_algebra_flags_corrupted_a1():
-    good = make_a1()
+    good = make_observable("A1")
     corrupted_matrix = np.array(good.matrix)
     corrupted_matrix[1, 2] = -corrupted_matrix[1, 2]
     corrupted = Observable("A1", "alice", corrupted_matrix, good.spectrum)

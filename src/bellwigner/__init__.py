@@ -43,7 +43,6 @@ from .observables import (
 from .states import (
     FULL_LAYOUT,
     StateVector,
-    basis_state,
     bell_wigner_state,
     correlate_friend,
     entangled_pair,
@@ -67,7 +66,6 @@ __all__ = [
     "StateVector",
     "TSIRELSON_BOUND",
     "agreement_report",
-    "basis_state",
     "bell_wigner_state",
     "chsh_exact",
     "chsh_sampled",

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import expectation
-from .observables import alice_observable, bob_observable, lift, lifted_spectrum
+from .observables import alice_observable, bob_observable, check_setting, lift, lifted_spectrum
 from .states import StateVector
 
 SETTING_PAIRS = ((1, 1), (1, 0), (0, 1), (0, 0))
@@ -164,7 +164,7 @@ def joint_distribution(state: StateVector, i: int, j: int) -> list[JointOutcome]
     psi = _require_full_state(state)
     return [
         JointOutcome(a_value, b_value, expectation(psi, projector))
-        for a_value, b_value, projector in _outcome_cells(i, j)
+        for a_value, b_value, projector in _outcome_cells(check_setting(i), check_setting(j))
     ]
 
 
@@ -237,20 +237,12 @@ def chsh_sampled(state: StateVector | Sequence, shots_per_setting: int, seed: in
     return report_from_setting_products(setting_stats, shots_per_setting)
 
 
-def classical_assignments(
-    a0_values=(-1, 1),
-    a1_values=(-1, 0, 1),
-    b0_values=(-1, 1),
-    b1_values=(-1, 0, 1),
-) -> list[tuple[int, int, int, int, int]]:
-    """All simultaneous value assignments (a0, a1, b0, b1) and their CHSH value.
-
-    The defaults are the allowed simultaneous outcomes: +-1 for the friend
-    readouts, and +-1 or 0 for the coherence probes.
-    """
+def classical_assignments() -> list[tuple[int, int, int, int, int]]:
+    """All simultaneous value assignments (a0, a1, b0, b1) and their CHSH value:
+    +-1 for the friend readouts a0 and b0, +-1 or 0 for the coherence probes."""
     return [
         (a0, a1, b0, b1, a1 * b1 + a1 * b0 + a0 * b1 - a0 * b0)
-        for a0, a1, b0, b1 in itertools.product(a0_values, a1_values, b0_values, b1_values)
+        for a0, a1, b0, b1 in itertools.product((-1, 1), (-1, 0, 1), (-1, 1), (-1, 0, 1))
     ]
 
 

@@ -126,21 +126,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, handler in _COMMANDS.items():
         sp = sub.add_parser(name, parents=[common], help=handler.__doc__, allow_abbrev=False)
-        # a handler registered without _command takes no arguments of its own
-        for flag, options in getattr(handler, "arguments", ()):
+        for flag, options in handler.arguments:
             sp.add_argument(flag, **options)
     return parser
+
+
+class _Token(str):
+    """NaN, Infinity or -Infinity: ``json.loads`` reads them, strict JSON has none."""
+
+
+def _strict_object(pairs: list) -> dict:
+    """``object_pairs_hook`` of a config file: a repeated key or a ``_Token`` value is refused."""
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} is given twice")
+        if isinstance(value, _Token):
+            raise ValueError(f"key {key!r} has the non-standard token {value}")
+        doc[key] = value
+    return doc
 
 
 def load_config(path: str) -> dict:
     """Read a flat JSON object of scalar settings, rejecting unknown keys."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
+        doc = json.loads(text, parse_constant=_Token, object_pairs_hook=_strict_object)
     except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raise UsageError(f"config {path} cannot be read: {exc}")
+    except (ValueError, RecursionError) as exc:  # also non-UTF-8, deep nesting, 4301+ digits
         raise UsageError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise UsageError(f"config {path} must be a JSON object")
@@ -268,7 +282,7 @@ def _matrix_rows(doc: dict) -> list[list]:
 
 _STATES = {
     "plus-photon": plus_photon,
-    "correlated": lambda: correlate_friend(plus_photon(), "aligned"),
+    "correlated": lambda: correlate_friend(plus_photon()),
     "entangled-pair": entangled_pair,
     # looked up at call time, so a rebinding of this module's name is seen
     "bell-wigner": lambda: bell_wigner_state(),
@@ -350,9 +364,6 @@ def _cmd_dump_state(cfg: dict):
 def _cmd_dump_observable(cfg: dict):
     """emit an observable's matrix and spectrum"""
     return make_observable(cfg["label"]).to_dict(), 0
-
-
-SUBCOMMANDS = tuple(_COMMANDS)
 
 
 def _render(subcommand: str, doc: dict, output_format: str) -> str:

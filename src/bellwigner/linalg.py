@@ -47,14 +47,6 @@ def is_hermitian(m) -> bool:
     return frobenius_norm(a - a.conj().T) <= DEFAULT_TOL
 
 
-def is_projector(m) -> bool:
-    """True iff ||m@m - m||_F <= 1e-12 and m is Hermitian within 1e-12."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"projector test needs a square matrix, got {a.shape}")
-    return frobenius_norm(a @ a - a) <= DEFAULT_TOL and is_hermitian(a)
-
-
 def expectation(psi, m) -> float:
     """Real expectation value <psi| m |psi> of a Hermitian matrix.
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,17 +112,18 @@ def make_observable(label: str) -> Observable:
 
 
 def alice_observable(setting: int) -> Observable:
-    return make_observable(f"A{_check_setting(setting)}")
+    return make_observable(f"A{check_setting(setting)}")
 
 
 def bob_observable(setting: int) -> Observable:
-    return make_observable(f"B{_check_setting(setting)}")
+    return make_observable(f"B{check_setting(setting)}")
 
 
-def _check_setting(setting: int) -> int:
-    if setting not in (0, 1):
-        raise ValueError(f"setting must be 0 or 1, got {setting!r}")
-    return setting
+def check_setting(setting: int) -> int:
+    # a bool or float equal to 0 or 1 is refused: cached tables are keyed by equality
+    if isinstance(setting, numbers.Integral) and type(setting) is not bool and setting in (0, 1):
+        return int(setting)
+    raise ValueError(f"setting must be 0 or 1, got {setting!r}")
 
 
 def lift(obs: Observable) -> np.ndarray:
@@ -156,12 +158,6 @@ class AlgebraReport:
     @property
     def all_passed(self) -> bool:
         return all(check.passed for check in self.checks)
-
-    def __getitem__(self, name: str) -> AlgebraCheck:
-        for check in self.checks:
-            if check.name == name:
-                return check
-        raise KeyError(name)
 
     def to_dict(self) -> dict:
         return {

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -29,8 +28,6 @@ NORM_TOL = 1e-12
 PHOTON_LABELS = ("h", "v")
 FRIEND_LABELS = ("F_h", "F_v")
 FULL_LAYOUT = ("photon_a", "friend_a", "photon_b", "friend_b")
-
-FriendMapping = Literal["aligned", "anti_aligned"]
 
 
 def labels_for(subsystem: str) -> tuple[str, str]:
@@ -104,18 +101,6 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def amplitude(self, *labels: str) -> complex:
-        """Amplitude on the product basis ket with the given labels."""
-        return complex(self.amplitudes[basis_index(self.subsystems, labels)])
-
-    def inner(self, other: "StateVector") -> complex:
-        if self.subsystems != other.subsystems:
-            raise ValueError("inner product needs states over the same subsystems")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def to_dict(self) -> dict:
         """JSON document: {"layout": [...], "amplitudes": [[re, im], ...]}."""
         return {
@@ -124,41 +109,25 @@ class StateVector:
         }
 
 
-def basis_state(subsystems: tuple[str, ...], labels: tuple[str, ...]) -> StateVector:
-    """Product basis ket with the given per-subsystem labels."""
-    amps = np.zeros(2 ** len(subsystems), dtype=complex)
-    amps[basis_index(subsystems, labels)] = 1.0
-    return StateVector(subsystems, amps)
-
-
 def plus_photon() -> StateVector:
     """Equal superposition (|h> + |v>)/sqrt(2) of one photon."""
     r = 1.0 / math.sqrt(2.0)
     return StateVector(("photon",), np.array([r, r], dtype=complex))
 
 
-def correlate_friend(photon: StateVector, mapping: FriendMapping = "aligned") -> StateVector:
+def correlate_friend(photon: StateVector) -> StateVector:
     """Correlate a friend's memory with a photon's polarization.
 
-    ``aligned`` maps a|h> + b|v> to a|h,F_h> + b|v,F_v>; ``anti_aligned``
-    maps it to a|h,F_v> + b|v,F_h> (the convention of the four-photon
-    experiment, where the friend records the opposite label). Both are
-    isometries from the 2-dim photon space into the 4-dim pair space.
+    Maps a|h> + b|v> to a|h,F_h> + b|v,F_v>, an isometry from the 2-dim
+    photon space into the 4-dim pair space.
     """
     if photon.dim != 2 or not photon.subsystems[0].startswith("photon"):
         raise ValueError("correlate_friend expects a single-photon state")
-    if mapping not in ("aligned", "anti_aligned"):
-        raise ValueError(f"unknown mapping {mapping!r}")
     suffix = photon.subsystems[0][len("photon"):]
     subsystems = (photon.subsystems[0], "friend" + suffix)
-    a, b = photon.amplitudes
+    aligned = [basis_index(subsystems, labels) for labels in zip(PHOTON_LABELS, FRIEND_LABELS)]
     amps = np.zeros(4, dtype=complex)
-    if mapping == "aligned":
-        amps[basis_index(subsystems, ("h", "F_h"))] = a
-        amps[basis_index(subsystems, ("v", "F_v"))] = b
-    else:
-        amps[basis_index(subsystems, ("h", "F_v"))] = a
-        amps[basis_index(subsystems, ("v", "F_h"))] = b
+    amps[aligned] = photon.amplitudes
     return StateVector(subsystems, amps)
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -22,7 +23,9 @@ from bellwigner.chsh import (
     sample_products,
     sample_setting_products,
 )
-from bellwigner.states import FULL_LAYOUT, StateVector, basis_state, bell_wigner_state
+from bellwigner.observables import alice_observable, bob_observable
+from bellwigner.states import FULL_LAYOUT, StateVector, bell_wigner_state
+from oracle import ket
 
 SQRT_HALF = math.sqrt(2) / 2
 
@@ -65,7 +68,7 @@ def test_exact_correlators_match_reduction_oracle():
 
 
 def test_exact_on_product_state():
-    state = basis_state(FULL_LAYOUT, ("h", "F_v", "h", "F_v"))
+    state = StateVector(FULL_LAYOUT, ket("h", "F_v", "h", "F_v"))
     report = chsh_exact(state)
     assert report.correlators[(0, 0)] == pytest.approx(1.0, abs=1e-12)
     assert report.correlators[(1, 1)] == pytest.approx(0.0, abs=1e-12)
@@ -93,7 +96,7 @@ def test_report_document_keys():
 
 def test_exact_rejects_wrong_dimension():
     with pytest.raises(ValueError, match="16-dim"):
-        chsh_exact(basis_state(("photon", "friend"), ("h", "F_h")))
+        chsh_exact(StateVector(("photon", "friend"), ket("h", "F_h")))
 
 
 def test_classical_max_is_two():
@@ -118,11 +121,26 @@ def test_classical_assignment_table():
 def test_classical_max_with_null_coherence_outcomes():
     # Regression pin: forcing the coherence probes to outcome 0 leaves only
     # -a0*b0, whose enumerated maximum is 1.
-    table = classical_assignments(a1_values=(0,), b1_values=(0,))
+    table = [row for row in classical_assignments() if row[1] == row[3] == 0]
     assert len(table) == 4
     assert max(row[4] for row in table) == 1
     oracle = max(-a0 * b0 for a0, b0 in itertools.product((-1, 1), repeat=2))
     assert oracle == 1
+
+
+def test_setting_must_be_the_int_0_or_1():
+    state = bell_wigner_state()
+    table = joint_distribution(state, 1, 0)  # True and 1.0 equal this table's cache key
+    for bad in (True, 1.0, np.float64(0.0), np.True_, 2, -1, "1", None):
+        message = re.escape(f"setting must be 0 or 1, got {bad!r}")
+        for call in (lambda: joint_distribution(state, bad, 0),
+                     lambda: joint_distribution(state, 0, bad),
+                     lambda: sample_setting_products(state, bad, 0, 10, 1),
+                     lambda: alice_observable(bad),
+                     lambda: bob_observable(bad)):
+            with pytest.raises(ValueError, match=message):
+                call()
+    assert joint_distribution(state, np.int64(1), np.uint8(0)) == table
 
 
 @pytest.mark.parametrize("pair", SETTING_PAIRS)
@@ -151,7 +169,7 @@ def test_joint_distribution_pinned_cell():
 
 
 def test_joint_distribution_includes_zero_cells():
-    state = basis_state(FULL_LAYOUT, ("h", "F_h", "h", "F_h"))
+    state = StateVector(FULL_LAYOUT, ket("h", "F_h", "h", "F_h"))
     outcomes = joint_distribution(state, 1, 1)
     assert len(outcomes) == 9
     zero_cells = [c for c in outcomes if c.joint_probability == pytest.approx(0.0, abs=1e-12)]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellwigner.chsh import chsh_sampled
-from bellwigner.cli import ENV_SEED, SUBCOMMANDS, UsageError, load_config, main
+from bellwigner.cli import _COMMANDS, ENV_SEED, UsageError, load_config, main
 from bellwigner.states import bell_wigner_state
 
 
@@ -100,7 +100,7 @@ ROUND_TRIP_ARGS = {
 }
 
 
-@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+@pytest.mark.parametrize("subcommand", _COMMANDS)
 def test_json_round_trip_is_byte_identical(capsys, subcommand):
     status, out, _ = run_cli(capsys, subcommand, *ROUND_TRIP_ARGS[subcommand])
     assert status == 0
@@ -108,7 +108,7 @@ def test_json_round_trip_is_byte_identical(capsys, subcommand):
     assert reemitted == out
 
 
-@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+@pytest.mark.parametrize("subcommand", _COMMANDS)
 def test_csv_renders_for_every_subcommand(capsys, subcommand):
     args = ROUND_TRIP_ARGS[subcommand] + ["--format", "csv"]
     status, out, _ = run_cli(capsys, subcommand, *args)
@@ -324,11 +324,19 @@ def test_chsh_sample_with_zero_standard_error_is_strict(capsys):
     header, row = list(csv.reader(out.splitlines()))
     assert row[header.index("sigma_violation")] == ""
 
+    # runs that once printed "sigma_violation": Infinity or died of a MemoryError
+    for argv in (["--shots", "2", "--seed", "3"], ["--shots", "100000000000", "--seed", "1"]):
+        status, out, err = run_cli(capsys, "chsh-sample", *argv)
+        assert (status, err) == (0, "")
+        json.loads(out, parse_constant=_reject_constant)
+
 
 def test_non_finite_json_value_is_usage_error(capsys, monkeypatch):
     import bellwigner.cli as cli
 
-    monkeypatch.setitem(cli._COMMANDS, "classical-bound", lambda cfg: ({"x": math.inf}, 0))
+    # saved for monkeypatch to restore, then replaced through _command like every handler
+    monkeypatch.setitem(cli._COMMANDS, "classical-bound", cli._COMMANDS["classical-bound"])
+    cli._command("classical-bound", cli._one_row)(lambda cfg: ({"x": math.inf}, 0))
     status, out, err = run_cli(capsys, "classical-bound")
     assert status == 2
     assert out == ""
@@ -350,8 +358,22 @@ def test_seed_range_error_names_its_source(capsys, monkeypatch, tmp_path, seed):
     assert status == 2 and ENV_SEED in err and "unsigned 64-bit" in err
 
 
-# (argv, config file text or None, BELLWIGNER_SEED or None, exit status,
-# exact last stderr line); "{dir}" stands for a per-test temporary directory
+def _error_text(call, *args) -> str:
+    """The message of the error ``call(*args)`` raises; its wording is Python's own."""
+    try:
+        call(*args)
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
+    raise AssertionError(f"{call!r} raised nothing")
+
+
+DEEP_CONFIG = "[" * 200_000
+LONG_INT_CONFIG = '{"seed": ' + "1" * 5000 + "}"
+CONFIG = "error: config {dir}/config.json"
+
+# (argv, config file text or bytes or None, BELLWIGNER_SEED or None, exit
+# status, exact last stderr line); "{dir}" stands for a per-test temporary
+# directory
 USAGE_ERRORS = {
     "seed_flag": (["chsh-exact", "--seed", "-1"], None, None, 2,
                   "bellwigner chsh-exact: error: argument --seed: "
@@ -390,6 +412,27 @@ USAGE_ERRORS = {
                     "bellwigner: error: unrecognized arguments: --sh 5"),
     "ambiguous_flag_prefix": (["chsh-sample", "--se", "1"], None, None, 2,
                               "bellwigner: error: unrecognized arguments: --se 1"),
+    # a config is strict JSON: no NaN or Infinity token and no repeated key
+    "nan_token": (["classical-bound"], '{"t": NaN}', None, 2,
+                  CONFIG + " is not valid JSON: key 't' has the non-standard token NaN"),
+    "infinity_token": (["classical-bound"], '{"t": Infinity}', None, 2,
+                       CONFIG + " is not valid JSON: key 't' has the non-standard token Infinity"),
+    "minus_infinity_token": (["classical-bound"], '{"rate": -Infinity}', None, 2,
+                             CONFIG + " is not valid JSON: key 'rate' has the non-standard "
+                             "token -Infinity"),
+    "repeated_key": (["chsh-exact"], '{"seed": 1, "seed": 2}', None, 2,
+                     CONFIG + " is not valid JSON: key 'seed' is given twice"),
+    # every read or parse failure is one line that names the file
+    "missing_config": (["chsh-exact", "--config", "{dir}/missing.json"], None, None, 2,
+                       "error: config {dir}/missing.json cannot be read: [Errno 2] "
+                       "No such file or directory: '{dir}/missing.json'"),
+    "deep_nesting": (["chsh-exact"], DEEP_CONFIG, None, 2,
+                     CONFIG + " is not valid JSON: " + _error_text(json.loads, DEEP_CONFIG)),
+    "long_integer": (["chsh-exact"], LONG_INT_CONFIG, None, 2,
+                     CONFIG + " is not valid JSON: " + _error_text(json.loads, LONG_INT_CONFIG)),
+    "not_utf8": (["chsh-exact"], b'{"seed": "\xff"}', None, 2,
+                 CONFIG + " is not valid JSON: 'utf-8' codec can't decode byte 0xff "
+                 "in position 10: invalid start byte"),
 }
 
 
@@ -399,7 +442,10 @@ def test_usage_error_table(capsys, monkeypatch, tmp_path, case):
     argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
     if config_text is not None:
         config = tmp_path / "config.json"
-        config.write_text(config_text)
+        if isinstance(config_text, bytes):
+            config.write_bytes(config_text)
+        else:
+            config.write_text(config_text)
         argv += ["--config", str(config)]
     if env_seed is None:
         monkeypatch.delenv(ENV_SEED, raising=False)

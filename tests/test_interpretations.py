@@ -29,11 +29,12 @@ from bellwigner.states import (
     FULL_LAYOUT,
     StateVector,
     basis_labels,
-    basis_state,
     bell_wigner_state,
     correlate_friend,
     plus_photon,
 )
+
+from oracle import ket
 
 PAIR = ("photon", "friend")
 
@@ -151,16 +152,15 @@ def test_grw_simulate_rejects_bad_inputs():
 
 
 def test_many_worlds_branches_of_correlated_state():
-    branches = many_worlds_branches(correlate_friend(plus_photon(), "aligned"))
+    branches = many_worlds_branches(correlate_friend(plus_photon()))
     assert [b.label for b in branches] == ["F_h", "F_v"]
-    for branch, ket in zip(branches, (("h", "F_h"), ("v", "F_v"))):
+    for branch, labels in zip(branches, (("h", "F_h"), ("v", "F_v"))):
         assert branch.weight == pytest.approx(0.5, abs=1e-12)
-        assert np.allclose(branch.state.amplitudes,
-                           basis_state(PAIR, ket).amplitudes, atol=1e-12)
+        assert np.allclose(branch.state.amplitudes, ket(*labels), atol=1e-12)
 
 
 def test_many_worlds_single_branch_for_product_state():
-    branches = many_worlds_branches(basis_state(PAIR, ("h", "F_h")))
+    branches = many_worlds_branches(StateVector(PAIR, ket("h", "F_h")))
     assert len(branches) == 1
     assert branches[0].weight == pytest.approx(1.0, abs=1e-12)
     assert branches[0].label == "F_h"
@@ -289,7 +289,7 @@ def test_agreement_document_shape():
 
 
 def test_branch_document():
-    branch = many_worlds_branches(correlate_friend(plus_photon(), "aligned"))[0]
+    branch = many_worlds_branches(correlate_friend(plus_photon()))[0]
     doc = branch.to_dict()
     assert doc["label"] == "F_h"
     assert doc["weight"] == pytest.approx(0.5)

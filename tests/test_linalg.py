@@ -10,7 +10,6 @@ from bellwigner.linalg import (
     expectation,
     frobenius_norm,
     is_hermitian,
-    is_projector,
     kron,
 )
 
@@ -139,15 +138,6 @@ def test_commutator_positive_for_noncommuting_pair():
 def test_commutator_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         commutator_norm(I2, I4)
-
-
-def test_is_projector():
-    assert is_projector(I2)
-    assert is_projector(np.diag([1.0, 0.0]).astype(complex))
-    flip = np.zeros((4, 4), dtype=complex)
-    flip[1, 2] = flip[2, 1] = 1.0
-    assert not is_projector(flip)
-    assert is_projector(flip @ flip)
 
 
 def test_structure_predicates():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bellwigner.linalg import commutator_norm, expectation, is_projector
+from bellwigner.linalg import commutator_norm, expectation
 from bellwigner.observables import (
     Observable,
     lift,
@@ -13,21 +13,16 @@ from bellwigner.observables import (
     make_observable,
     verify_algebra,
 )
-from bellwigner.states import FULL_LAYOUT, basis_state
+from oracle import checks_by_name, is_projector, ket
 
 I4 = np.eye(4, dtype=complex)
-SIDE = ("photon", "friend")
-
-
-def side_ket(photon, friend):
-    return basis_state(SIDE, (photon, friend)).amplitudes
 
 
 def test_a0_reads_friend_record():
     a0 = make_observable("A0")
-    assert expectation(side_ket("h", "F_v"), a0.matrix) == pytest.approx(1.0, abs=1e-12)
-    assert expectation(side_ket("h", "F_h"), a0.matrix) == pytest.approx(-1.0, abs=1e-12)
-    assert expectation(side_ket("v", "F_v"), a0.matrix) == pytest.approx(1.0, abs=1e-12)
+    assert expectation(ket("h", "F_v"), a0.matrix) == pytest.approx(1.0, abs=1e-12)
+    assert expectation(ket("h", "F_h"), a0.matrix) == pytest.approx(-1.0, abs=1e-12)
+    assert expectation(ket("v", "F_v"), a0.matrix) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_a0_squared_is_identity_exactly():
@@ -37,18 +32,18 @@ def test_a0_squared_is_identity_exactly():
 
 def test_a1_eigenvectors():
     a1 = make_observable("A1")
-    phi_plus = (side_ket("h", "F_v") + side_ket("v", "F_h")) / math.sqrt(2)
+    phi_plus = (ket("h", "F_v") + ket("v", "F_h")) / math.sqrt(2)
     assert expectation(phi_plus, a1.matrix) == pytest.approx(1.0, abs=1e-12)
-    phi_minus = (side_ket("h", "F_v") - side_ket("v", "F_h")) / math.sqrt(2)
+    phi_minus = (ket("h", "F_v") - ket("v", "F_h")) / math.sqrt(2)
     assert expectation(phi_minus, a1.matrix) == pytest.approx(-1.0, abs=1e-12)
     # |h,F_h> is orthogonal to both, so it sits in the kernel
-    assert expectation(side_ket("h", "F_h"), a1.matrix) == pytest.approx(0.0, abs=1e-12)
+    assert expectation(ket("h", "F_h"), a1.matrix) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_a1_squared_is_correlated_support():
     a1 = make_observable("A1")
-    support = np.outer(side_ket("h", "F_v"), side_ket("h", "F_v").conj()) + np.outer(
-        side_ket("v", "F_h"), side_ket("v", "F_h").conj()
+    support = np.outer(ket("h", "F_v"), ket("h", "F_v").conj()) + np.outer(
+        ket("v", "F_h"), ket("v", "F_h").conj()
     )
     assert np.linalg.norm(a1.matrix @ a1.matrix - support) <= 1e-12
     assert not is_projector(a1.matrix)
@@ -81,9 +76,9 @@ def test_spectra_structure(label, values, ranks):
 
 def test_lift_orientation():
     # Alice acts on the leading pair, Bob on the trailing pair
-    ket = basis_state(FULL_LAYOUT, ("h", "F_v", "v", "F_h")).amplitudes
-    assert np.allclose(lift(make_observable("A0")) @ ket, ket, atol=1e-12)
-    assert np.allclose(lift(make_observable("B0")) @ ket, -ket, atol=1e-12)
+    full_ket = ket("h", "F_v", "v", "F_h")
+    assert np.allclose(lift(make_observable("A0")) @ full_ket, full_ket, atol=1e-12)
+    assert np.allclose(lift(make_observable("B0")) @ full_ket, -full_ket, atol=1e-12)
     assert np.array_equal(lift(make_observable("A0")), np.kron(make_observable("A0").matrix, I4))
     assert np.array_equal(lift(make_observable("B0")), np.kron(I4, make_observable("B0").matrix))
 
@@ -114,13 +109,14 @@ def test_make_observable_rejects_unknown_label():
 def test_verify_algebra_passes_on_builtins():
     report = verify_algebra()
     assert report.all_passed
+    checks = checks_by_name(report)
     for name in ("A0_squared_identity", "A1_squared_support", "B1_squared_support"):
-        assert report[name].residual <= 1e-12
+        assert checks[name].residual <= 1e-12
     for alice in ("A0", "A1"):
         for bob in ("B0", "B1"):
-            assert report[f"commute_{alice}_{bob}"].residual == 0.0
-    assert report["noncommute_A0_A1"].residual > 0.5
-    assert report["noncommute_B0_B1"].residual > 0.5
+            assert checks[f"commute_{alice}_{bob}"].residual == 0.0
+    assert checks["noncommute_A0_A1"].residual > 0.5
+    assert checks["noncommute_B0_B1"].residual > 0.5
 
 
 def test_verify_algebra_flags_corrupted_a1():
@@ -130,15 +126,16 @@ def test_verify_algebra_flags_corrupted_a1():
     corrupted = Observable("A1", "alice", corrupted_matrix, good.spectrum)
     report = verify_algebra(a1=corrupted)
     assert not report.all_passed
-    assert not report["A1_squared_support"].passed
+    assert not checks_by_name(report)["A1_squared_support"].passed
 
 
 def test_verify_algebra_flags_identity_observables():
     identity = Observable("A0", "alice", I4, ((1.0, I4),))
     identity_b = Observable("B0", "bob", I4, ((1.0, I4),))
     report = verify_algebra(a0=identity, b0=identity_b)
-    assert report["commute_A0_B0"].passed  # trivially zero
-    assert not report["noncommute_A0_A1"].passed
+    checks = checks_by_name(report)
+    assert checks["commute_A0_B0"].passed  # trivially zero
+    assert not checks["noncommute_A0_A1"].passed
     assert not report.all_passed
 
 

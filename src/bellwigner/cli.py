@@ -11,6 +11,9 @@ environment variable (seed only) > built-in default.
 Each setting is declared once, in ``_SETTINGS``: its flag options, the JSON
 type a config file must give and its default. The parser, the config loader
 and the resolver all read that table, and config keys are the flag names.
+Whatever its source (flag, config or environment), a value meets one check,
+``_check``: the seed fits in u64, another integer is positive, a number is
+finite and a choice is one of its choices.
 Each subcommand is declared once, by ``_command``, which adds its handler to
 ``_COMMANDS`` with its help (the handler's docstring), its CSV table and any
 argument of its own.
@@ -20,6 +23,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import io
 import json
 import math
@@ -47,44 +52,16 @@ class UsageError(Exception):
     """Invalid arguments or configuration; maps to exit status 2."""
 
 
-def _check_seed(value: int, source: str, error: type[Exception] = UsageError) -> int:
-    """Return ``value`` if it fits in an unsigned 64-bit integer, else raise
-    ``error`` naming ``source`` (the flag, config key or environment variable)."""
-    if not 0 <= value < 2 ** 64:
-        raise error(f"{source} must fit in an unsigned 64-bit integer")
-    return value
-
-
-def _u64(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    return _check_seed(value, "seed", argparse.ArgumentTypeError)
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be a positive integer")
-    return value
-
-
 # key (= flag name = config key) -> (argparse options, JSON type, default).
-# A config value must have the JSON type, and meets the same range or choice
-# check as the flag; an int setting other than the seed must be positive.
+# A flag, config or BELLWIGNER_SEED value is read as the JSON type and then
+# meets ``_check``, whatever its source.
 _SETTINGS = {
-    "seed": ({"type": _u64, "help": "RNG seed (unsigned 64-bit)"}, int, 0),
-    "shots": ({"type": _positive_int, "help": "measurement shots per setting pair"},
-              int, 10_000),
-    "trials": ({"type": _positive_int, "help": "Monte Carlo trials for collapse simulation"},
-               int, 1_000_000),
-    "n": ({"type": float, "help": "particle count"}, float, 1e2),
-    "t": ({"type": float, "help": "measurement duration in seconds"}, float, 1e3),
-    "rate": ({"type": float, "help": "per-particle localization rate in 1/s"}, float, 1e-16),
+    "seed": ({"help": "RNG seed (unsigned 64-bit)"}, int, 0),
+    "shots": ({"help": "measurement shots per setting pair"}, int, 10_000),
+    "trials": ({"help": "Monte Carlo trials for collapse simulation"}, int, 1_000_000),
+    "n": ({"help": "particle count"}, float, 1e2),
+    "t": ({"help": "measurement duration in seconds"}, float, 1e3),
+    "rate": ({"help": "per-particle localization rate in 1/s"}, float, 1e-16),
     "setting": ({"choices": ("00", "01", "10", "11"),
                  "help": "setting pair: first digit Alice, second Bob"}, str, "00"),
     "scale": ({"choices": ("micro", "macro"),
@@ -96,6 +73,37 @@ _SETTINGS = {
 
 # JSON type -> (its name in error messages, the Python types a config value may have)
 _JSON_TYPES = {int: ("an integer", int), float: ("a number", (int, float)), str: ("a string", str)}
+
+
+def _check(key: str, value, source: str, error: type[Exception] = UsageError):
+    """Return ``value`` if it is valid for setting ``key``, else raise ``error``
+    naming ``source`` (the setting, config key or environment variable): the
+    seed fits in u64, any other int is positive, a float is finite, and a value
+    with choices is one of them."""
+    options, kind, _ = _SETTINGS[key]
+    choices = options.get("choices")
+    if key == "seed":
+        if not 0 <= value < 2 ** 64:
+            raise error(f"{source} must fit in an unsigned 64-bit integer")
+    elif kind is int and value < 1:
+        raise error(f"{source} must be positive, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise error(f"{source} must be finite, got {value!r}")
+    if choices is not None and value not in choices:
+        raise error(f"{source} must be one of {choices}, got {value!r}")
+    return value
+
+
+def _parse(key: str, text: str, source: str, error: type[Exception] = UsageError):
+    """Setting ``key`` given as ``text`` (a flag or the environment), read as its
+    JSON type and then checked."""
+    kind = _SETTINGS[key][1]
+    try:
+        value = kind(text)
+    except ValueError:
+        raise error(f"{source} must be {_JSON_TYPES[kind][0]}, got {text!r}")
+    return _check(key, value, source, error)
+
 
 _COMMANDS: dict = {}
 
@@ -115,7 +123,8 @@ def _command(name: str, rows, *arguments):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     for key, (options, _, _) in _SETTINGS.items():
-        common.add_argument(f"--{key}", **options)
+        flag_type = functools.partial(_parse, key, source=key, error=argparse.ArgumentTypeError)
+        common.add_argument(f"--{key}", type=flag_type, **options)
     common.add_argument("--config", help="JSON config file with default settings")
 
     parser = argparse.ArgumentParser(
@@ -162,47 +171,33 @@ def load_config(path: str) -> dict:
     for key, value in doc.items():
         if key not in _SETTINGS:
             raise UsageError(f"unknown config key {key!r}")
-        options, kind, _ = _SETTINGS[key]
+        kind = _SETTINGS[key][1]
         type_name, accepted = _JSON_TYPES[kind]
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise UsageError(f"config key {key!r} must be {type_name}, got {value!r}")
-        if key == "seed":
-            _check_seed(value, "config key 'seed'")
-        elif kind is int and value < 1:
-            raise UsageError(f"config key {key!r} must be positive, got {value!r}")
-        choices = options.get("choices")
-        if choices is not None and value not in choices:
-            raise UsageError(f"config key {key!r} must be one of {choices}, got {value!r}")
-        out[key] = kind(value)
+        try:
+            value = kind(value)
+        except OverflowError:  # an integer past the float range, as float("1e400") reads it
+            value = math.inf if value > 0 else -math.inf
+        out[key] = _check(key, value, f"config key {key!r}")
     return out
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Settings under their flag names, plus ``subcommand``, ``explicit`` (the
-    keys given by flag or config file) and the subcommand's own ``name``,
-    ``label`` and ``sampled``."""
+    """Settings under their flag names, plus the rest of the parsed namespace
+    (``subcommand``, ``config`` and the arguments ``_command`` declared for the
+    subcommand) and ``explicit``, the keys given by flag or config file."""
     cfg = {key: default for key, (_, _, default) in _SETTINGS.items()}
-
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
-        try:
-            value = int(env_seed)
-        except ValueError:
-            raise UsageError(f"{ENV_SEED} must be an integer, got {env_seed!r}")
-        cfg["seed"] = _check_seed(value, ENV_SEED)
-
+        cfg["seed"] = _parse("seed", env_seed, ENV_SEED)
     given = load_config(args.config) if args.config is not None else {}
     given.update((key, getattr(args, key)) for key in _SETTINGS if getattr(args, key) is not None)
     cfg.update(given)
     if cfg["out"] == "":
         raise UsageError("out must be a non-empty path")
-    cfg.update(
-        subcommand=args.subcommand,
-        explicit=frozenset(given),
-        name=getattr(args, "name", None),
-        label=getattr(args, "label", None),
-        sampled=getattr(args, "sampled", False),
-    )
+    cfg.update((key, value) for key, value in vars(args).items() if key not in _SETTINGS)
+    cfg["explicit"] = frozenset(given)
     return cfg
 
 
@@ -211,17 +206,11 @@ def _grw_params(cfg: dict) -> GrwParams:
 
 
 def _friend_scale(cfg: dict) -> FriendScale:
-    """Scale for the agreement run: canonical parameters unless overridden."""
+    """Scale for the agreement run: its canonical parameters, with any given n, t or rate."""
     base = FriendScale.microscopic() if cfg["scale"] == "micro" else FriendScale.macroscopic()
-    explicit = cfg["explicit"]
-    if not ({"n", "t", "rate"} & explicit):
-        return base
-    params = GrwParams(
-        cfg["n"] if "n" in explicit else base.grw.n_particles,
-        cfg["t"] if "t" in explicit else base.grw.duration_s,
-        cfg["rate"] if "rate" in explicit else base.grw.rate_per_particle,
-    )
-    return FriendScale(base.kind, params)
+    fields = {"n": "n_particles", "t": "duration_s", "rate": "rate_per_particle"}
+    given = {field: cfg[key] for key, field in fields.items() if key in cfg["explicit"]}
+    return FriendScale(base.kind, dataclasses.replace(base.grw, **given))
 
 
 def _csv_text(rows) -> str:

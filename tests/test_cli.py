@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellwigner.chsh import chsh_sampled
-from bellwigner.cli import _COMMANDS, ENV_SEED, UsageError, load_config, main
+from bellwigner.cli import _COMMANDS, _SETTINGS, ENV_SEED, UsageError, load_config, main
 from bellwigner.states import bell_wigner_state
 
 
@@ -369,6 +369,7 @@ def _error_text(call, *args) -> str:
 
 DEEP_CONFIG = "[" * 200_000
 LONG_INT_CONFIG = '{"seed": ' + "1" * 5000 + "}"
+HUGE_FLOAT_CONFIG = '{"n": 1' + "0" * 400 + "}"
 CONFIG = "error: config {dir}/config.json"
 
 # (argv, config file text or bytes or None, BELLWIGNER_SEED or None, exit
@@ -433,6 +434,17 @@ USAGE_ERRORS = {
     "not_utf8": (["chsh-exact"], b'{"seed": "\xff"}', None, 2,
                  CONFIG + " is not valid JSON: 'utf-8' codec can't decode byte 0xff "
                  "in position 10: invalid start byte"),
+    # a float setting is finite, from a flag or a config, whatever the subcommand
+    "nan_flag": (["classical-bound", "--t", "nan"], None, None, 2,
+                 "bellwigner classical-bound: error: argument --t: t must be finite, got nan"),
+    "inf_flag": (["chsh-exact", "--rate", "inf", "--n", "nan"], None, None, 2,
+                 "bellwigner chsh-exact: error: argument --rate: rate must be finite, got inf"),
+    "overflow_flag": (["chsh-exact", "--n", "1e400"], None, None, 2,
+                      "bellwigner chsh-exact: error: argument --n: n must be finite, got inf"),
+    "inf_config": (["classical-bound"], '{"t": 1e999}', None, 2,
+                   "error: config key 't' must be finite, got inf"),
+    "overflow_config": (["classical-bound"], HUGE_FLOAT_CONFIG, None, 2,
+                        "error: config key 'n' must be finite, got inf"),
 }
 
 
@@ -536,3 +548,53 @@ def test_settings_precedence_flag_config_env_default(tmp_path_factory, data):
         fallback = env_seed if key == "seed" and env_seed is not None else default
         assert cfg[key] == flags.get(key, configured.get(key, fallback)), key
     assert cfg["explicit"] == set(flags) | set(configured)
+
+
+# values every setting is given, besides its choices and a string that is none of them
+BOUNDARY_VALUES = (0, -0.0, -1, 1e308, 1e-320, 2 ** 63, 2 ** 64, math.nan, math.inf)
+
+
+def _boundary_cases(key):
+    """(flag text, config JSON text) of each value ``key`` is tried with, derived
+    from its declaration. On the command line a value is text, so a string
+    setting's config value is that text; a config spells inf as 1e999 (and nan
+    as the ``NaN`` token, which it refuses)."""
+    options, kind, _ = _SETTINGS[key]
+    choices = options.get("choices", ())
+    for value in (*BOUNDARY_VALUES, *choices, "".join(choices) or key):
+        text = str(value)
+        if kind is str or isinstance(value, str):
+            yield text, json.dumps(text)
+        else:
+            yield text, "1e999" if value == math.inf else json.dumps(value)
+
+
+def _outcome(capsys, key, argv):
+    """repr of the value ``key`` resolves to when ``classical-bound`` runs with
+    ``argv``; for a refused run, its exit status, stdout, the number of stderr
+    lines that say ``error:`` and whether the last line is one."""
+    import bellwigner.cli as cli
+
+    argv = ["classical-bound", *argv]
+    status, out, err = run_cli(capsys, *argv)
+    if status == 0:
+        return repr(cli._resolve(cli.build_parser().parse_args(argv))[key])
+    lines = err.splitlines()
+    return status, out, sum("error: " in line for line in lines), "error: " in lines[-1]
+
+
+@pytest.mark.parametrize("key", _SETTINGS)
+def test_flag_config_and_env_meet_one_check(capsys, monkeypatch, tmp_path, key):
+    monkeypatch.chdir(tmp_path)  # where an accepted --out writes
+    monkeypatch.delenv(ENV_SEED, raising=False)
+    config = tmp_path / "config.json"
+    for text, spelt in _boundary_cases(key):
+        config.write_text(f'{{"{key}": {spelt}}}')
+        runs = [_outcome(capsys, key, [f"--{key}={text}"]),
+                _outcome(capsys, key, ["--config", str(config)])]
+        if key == "seed":
+            with mock.patch.dict(os.environ, {ENV_SEED: text}):
+                runs.append(_outcome(capsys, key, []))
+        # every source resolves to one value, or each exits 2 with one error line
+        assert set(runs) == {(2, "", 1, True)} or (
+            len(set(runs)) == 1 and isinstance(runs[0], str)), (key, text, spelt, runs)

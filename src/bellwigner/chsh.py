@@ -27,14 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import expectation
+from .linalg import DEFAULT_TOL, expectation
 from .observables import alice_observable, bob_observable, check_setting, lift, lifted_spectrum
 from .states import StateVector
 
 SETTING_PAIRS = ((1, 1), (1, 0), (0, 1), (0, 0))
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
-
-_S_CONSISTENCY_TOL = 1e-12
 
 
 def s_from_correlators(correlators: dict[tuple[int, int], float]) -> float:
@@ -84,22 +82,17 @@ class ChshReport:
             raise ValueError(f"unknown report mode {self.mode!r}")
         if set(self.correlators) != set(SETTING_PAIRS):
             raise ValueError("correlator map must cover all four setting pairs")
-        if abs(s_from_correlators(self.correlators) - self.s_value) > _S_CONSISTENCY_TOL:
+        if abs(s_from_correlators(self.correlators) - self.s_value) > DEFAULT_TOL:
             raise ValueError("s_value does not recompute from the stored correlators")
         if self.mode == "exact":
             worst = max(abs(v) for v in self.correlators.values())
-            if worst > 1.0 + 1e-12:
+            if worst > 1.0 + DEFAULT_TOL:
                 raise ValueError(f"exact correlator magnitude {worst} exceeds 1")
 
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,
-            "correlators": {
-                "A1B1": self.correlators[(1, 1)],
-                "A1B0": self.correlators[(1, 0)],
-                "A0B1": self.correlators[(0, 1)],
-                "A0B0": self.correlators[(0, 0)],
-            },
+            "correlators": {f"A{i}B{j}": self.correlators[(i, j)] for i, j in SETTING_PAIRS},
             "s_value": self.s_value,
             "shots_per_setting": self.shots_per_setting,
             "standard_error": self.standard_error,
@@ -126,7 +119,7 @@ def _born_sum(state: StateVector | Sequence, value):
     if any(branch.weight < 0.0 for branch in state):
         raise ValueError("ensemble weights must be non-negative")
     total = math.fsum(branch.weight for branch in state)
-    if not abs(total - 1.0) <= 1e-12:  # written so that a nan total fails
+    if not abs(total - 1.0) <= DEFAULT_TOL:  # written so that a nan total fails
         raise ValueError(f"ensemble weights sum to {total!r}, not 1")
     terms = [branch.weight * value(branch.state) for branch in state]
     return sum(terms[1:], terms[0])

@@ -13,7 +13,9 @@ type a config file must give and its default. The parser, the config loader
 and the resolver all read that table, and config keys are the flag names.
 Whatever its source (flag, config or environment), a value meets one check,
 ``_check``: the seed fits in u64, another integer is positive, a number is
-finite and a choice is one of its choices.
+finite and a choice is one of its choices. Its ``UsageError`` is also what
+argparse reports for a bad flag. The GRW settings n, t and rate default to
+the ``--scale`` preset, ``ATOM_PARAMS`` or ``INSTRUMENT_PARAMS``.
 Each subcommand is declared once, by ``_command``, which adds its handler to
 ``_COMMANDS`` with its help (the handler's docstring), its CSV table and any
 argument of its own.
@@ -34,6 +36,10 @@ from pathlib import Path
 
 from .chsh import chsh_exact, chsh_sampled, classical_max, joint_distribution
 from .interpretations import (
+    ATOM_PARAMS,
+    INSTRUMENT_PARAMS,
+    MACROSCOPIC,
+    MICROSCOPIC,
     FriendScale,
     GrwParams,
     agreement_report,
@@ -48,24 +54,25 @@ from .states import basis_labels, bell_wigner_state, correlate_friend, entangled
 ENV_SEED = "BELLWIGNER_SEED"
 
 
-class UsageError(Exception):
+class UsageError(argparse.ArgumentTypeError):
     """Invalid arguments or configuration; maps to exit status 2."""
 
 
 # key (= flag name = config key) -> (argparse options, JSON type, default).
 # A flag, config or BELLWIGNER_SEED value is read as the JSON type and then
-# meets ``_check``, whatever its source.
+# meets ``_check``, whatever its source. n, t and rate have no default here:
+# ``_grw_params`` takes the ones not given from the ``--scale`` preset.
 _SETTINGS = {
     "seed": ({"help": "RNG seed (unsigned 64-bit)"}, int, 0),
     "shots": ({"help": "measurement shots per setting pair"}, int, 10_000),
     "trials": ({"help": "Monte Carlo trials for collapse simulation"}, int, 1_000_000),
-    "n": ({"help": "particle count"}, float, 1e2),
-    "t": ({"help": "measurement duration in seconds"}, float, 1e3),
-    "rate": ({"help": "per-particle localization rate in 1/s"}, float, 1e-16),
+    "n": ({"help": "particle count"}, float, None),
+    "t": ({"help": "measurement duration in seconds"}, float, None),
+    "rate": ({"help": "per-particle localization rate in 1/s"}, float, None),
     "setting": ({"choices": ("00", "01", "10", "11"),
                  "help": "setting pair: first digit Alice, second Bob"}, str, "00"),
-    "scale": ({"choices": ("micro", "macro"),
-               "help": "friend scale: micro (atom) or macro (instrument)"}, str, "micro"),
+    "scale": ({"choices": (MICROSCOPIC, MACROSCOPIC),
+               "help": "friend scale: micro (atom) or macro (instrument)"}, str, MICROSCOPIC),
     "format": ({"choices": ("json", "csv"), "help": "output format (default json)"},
                str, "json"),
     "out": ({"help": "write the document to this path"}, str, None),
@@ -75,8 +82,8 @@ _SETTINGS = {
 _JSON_TYPES = {int: ("an integer", int), float: ("a number", (int, float)), str: ("a string", str)}
 
 
-def _check(key: str, value, source: str, error: type[Exception] = UsageError):
-    """Return ``value`` if it is valid for setting ``key``, else raise ``error``
+def _check(key: str, value, source: str):
+    """Return ``value`` if it is valid for setting ``key``, else raise ``UsageError``
     naming ``source`` (the setting, config key or environment variable): the
     seed fits in u64, any other int is positive, a float is finite, and a value
     with choices is one of them."""
@@ -84,25 +91,25 @@ def _check(key: str, value, source: str, error: type[Exception] = UsageError):
     choices = options.get("choices")
     if key == "seed":
         if not 0 <= value < 2 ** 64:
-            raise error(f"{source} must fit in an unsigned 64-bit integer")
+            raise UsageError(f"{source} must fit in an unsigned 64-bit integer")
     elif kind is int and value < 1:
-        raise error(f"{source} must be positive, got {value!r}")
+        raise UsageError(f"{source} must be positive, got {value!r}")
     if kind is float and not math.isfinite(value):
-        raise error(f"{source} must be finite, got {value!r}")
+        raise UsageError(f"{source} must be finite, got {value!r}")
     if choices is not None and value not in choices:
-        raise error(f"{source} must be one of {choices}, got {value!r}")
+        raise UsageError(f"{source} must be one of {choices}, got {value!r}")
     return value
 
 
-def _parse(key: str, text: str, source: str, error: type[Exception] = UsageError):
+def _parse(key: str, text: str, source: str):
     """Setting ``key`` given as ``text`` (a flag or the environment), read as its
     JSON type and then checked."""
     kind = _SETTINGS[key][1]
     try:
         value = kind(text)
     except ValueError:
-        raise error(f"{source} must be {_JSON_TYPES[kind][0]}, got {text!r}")
-    return _check(key, value, source, error)
+        raise UsageError(f"{source} must be {_JSON_TYPES[kind][0]}, got {text!r}")
+    return _check(key, value, source)
 
 
 _COMMANDS: dict = {}
@@ -123,7 +130,7 @@ def _command(name: str, rows, *arguments):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     for key, (options, _, _) in _SETTINGS.items():
-        flag_type = functools.partial(_parse, key, source=key, error=argparse.ArgumentTypeError)
+        flag_type = functools.partial(_parse, key, source=key)
         common.add_argument(f"--{key}", type=flag_type, **options)
     common.add_argument("--config", help="JSON config file with default settings")
 
@@ -202,15 +209,11 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _grw_params(cfg: dict) -> GrwParams:
-    return GrwParams(cfg["n"], cfg["t"], cfg["rate"])
-
-
-def _friend_scale(cfg: dict) -> FriendScale:
-    """Scale for the agreement run: its canonical parameters, with any given n, t or rate."""
-    base = FriendScale.microscopic() if cfg["scale"] == "micro" else FriendScale.macroscopic()
+    """The ``--scale`` preset, with any n, t or rate that a flag or the config gave."""
+    preset = ATOM_PARAMS if cfg["scale"] == MICROSCOPIC else INSTRUMENT_PARAMS
     fields = {"n": "n_particles", "t": "duration_s", "rate": "rate_per_particle"}
     given = {field: cfg[key] for key, field in fields.items() if key in cfg["explicit"]}
-    return FriendScale(base.kind, dataclasses.replace(base.grw, **given))
+    return dataclasses.replace(preset, **given)
 
 
 def _csv_text(rows) -> str:
@@ -237,8 +240,8 @@ def _table(records: list[dict], *fields: str) -> list[list]:
 
 
 def _chsh_rows(doc: dict) -> tuple[list, list]:
-    header = ["A1B1", "A1B0", "A0B1", "A0B0", "S"]
-    row = [doc["correlators"][k] for k in ("A1B1", "A1B0", "A0B1", "A0B0")] + [doc["s_value"]]
+    header = [*doc["correlators"], "S"]
+    row = [*doc["correlators"].values(), doc["s_value"]]
     if doc["mode"] == "sampled":
         header += ["shots_per_setting", "standard_error", "sigma_violation"]
         row += [doc["shots_per_setting"], doc["standard_error"], doc["sigma_violation"]]
@@ -336,8 +339,8 @@ def _cmd_branches(cfg: dict):
                          "help": "report seeded Monte Carlo runs instead of exact values"}))
 def _cmd_agreement(cfg: dict):
     """CHSH predictions of the three interpretation backends"""
-    report = agreement_report(_friend_scale(cfg), cfg["shots"], cfg["seed"],
-                              sampled=cfg["sampled"])
+    report = agreement_report(FriendScale(cfg["scale"], _grw_params(cfg)), cfg["shots"],
+                              cfg["seed"], sampled=cfg["sampled"])
     return report.to_dict(), 0
 
 

@@ -31,17 +31,16 @@ import numpy as np
 
 from . import chsh as chsh_engine
 from .chsh import ChshReport
+from .linalg import DEFAULT_TOL
 from .states import FRIEND_LABELS, StateVector, bell_wigner_state
 
-MICROSCOPIC = "microscopic"
-MACROSCOPIC = "macroscopic"
-BACKENDS = ("pilot_wave", "grw", "many_worlds")
+MICROSCOPIC = "micro"
+MACROSCOPIC = "macro"
 
 MICRO_MAX_PARTICLES = 1e6
 MACRO_MIN_PARTICLES = 1e20
 MIN_TOTAL_RATE = 1e-30
 BRANCH_WEIGHT_FLOOR = 1e-15
-AGREEMENT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,8 +75,8 @@ class GrwParams:
         return self.n_particles * self.rate_per_particle
 
 
-# Worked parameter sets: an atom of ~100 particles observed for 1e3 s, and an
-# instrument of ~1e25 particles resolved on nanosecond scale.
+# Worked parameter sets, the presets of the two friend scales: an atom of ~100
+# particles and an instrument of ~1e25 particles, each observed for 1e3 s.
 ATOM_PARAMS = GrwParams(n_particles=1e2, duration_s=1e3)
 INSTRUMENT_PARAMS = GrwParams(n_particles=1e25, duration_s=1e3)
 
@@ -205,7 +204,8 @@ def many_worlds_branches(state: StateVector) -> list[Branch]:
 
 @dataclass(frozen=True)
 class FriendScale:
-    """Whether the friend is an atom-scale or instrument-scale system."""
+    """Whether the friend is an atom-scale (MICROSCOPIC, "micro") or an
+    instrument-scale (MACROSCOPIC, "macro") system, with its GRW parameters."""
 
     kind: str
     grw: GrwParams
@@ -225,12 +225,12 @@ class FriendScale:
             )
 
     @classmethod
-    def microscopic(cls, grw: GrwParams = ATOM_PARAMS) -> "FriendScale":
-        return cls(MICROSCOPIC, grw)
+    def microscopic(cls) -> "FriendScale":
+        return cls(MICROSCOPIC, ATOM_PARAMS)
 
     @classmethod
-    def macroscopic(cls, grw: GrwParams = INSTRUMENT_PARAMS) -> "FriendScale":
-        return cls(MACROSCOPIC, grw)
+    def macroscopic(cls) -> "FriendScale":
+        return cls(MACROSCOPIC, INSTRUMENT_PARAMS)
 
 
 def _friends_macroscopic(scale: FriendScale) -> bool:
@@ -290,14 +290,13 @@ def agreement_report(
     ensembles yield bit-identical samples).
     """
     state = bell_wigner_state()
-    mode = "micro" if scale.kind == MICROSCOPIC else "macro"
     reports: dict[str, ChshReport] = {}
-    for name in BACKENDS:
-        ensemble = _ENSEMBLE_BUILDERS[name](state, scale)
+    for name, build in _ENSEMBLE_BUILDERS.items():
+        ensemble = build(state, scale)
         if sampled:
             reports[name] = chsh_engine.chsh_sampled(ensemble, shots, seed)
         else:
             reports[name] = chsh_engine.chsh_exact(ensemble)
     s_values = [report.s_value for report in reports.values()]
-    all_equal = max(s_values) - min(s_values) <= AGREEMENT_TOL
-    return AgreementReport(mode, reports, all_equal)
+    all_equal = max(s_values) - min(s_values) <= DEFAULT_TOL
+    return AgreementReport(scale.kind, reports, all_equal)

@@ -2,8 +2,10 @@
 
 Everything works on plain ``complex128`` numpy arrays. Storage is dense and
 there is no eigensolver: every spectral decomposition in this package is
-written down analytically. Every tolerance is the absolute ``DEFAULT_TOL``,
-1e-12. All functions are pure; nothing here mutates its arguments.
+written down analytically. ``DEFAULT_TOL``, the absolute 1e-12, is the
+package's one tolerance; only the branch-weight floor, the projector-rank
+tolerance and the GRW rate floor differ from it. All functions are pure;
+nothing here mutates its arguments.
 """
 
 from __future__ import annotations

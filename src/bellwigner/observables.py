@@ -32,20 +32,21 @@ _I4 = np.eye(4, dtype=complex)
 class Observable:
     """A 4x4 Hermitian observable together with its outcome spectrum.
 
-    ``spectrum`` is a tuple of (outcome value, projector) pairs; the matrix
-    must equal the value-weighted projector sum. Construction only checks
-    shapes: algebraic properties are the business of :func:`verify_algebra`,
-    which has to be able to inspect deliberately broken instances.
+    ``label`` is one of OBSERVABLE_LABELS, and its first letter names the
+    side: A for Alice, B for Bob. ``spectrum`` is a tuple of (outcome value,
+    projector) pairs; the matrix must equal the value-weighted projector sum.
+    Construction only checks the label and shapes: algebraic properties are
+    the business of :func:`verify_algebra`, which has to be able to inspect
+    deliberately broken instances.
     """
 
     label: str
-    side: str
     matrix: np.ndarray
     spectrum: tuple[tuple[float, np.ndarray], ...]
 
     def __post_init__(self):
-        if self.side not in (ALICE, BOB):
-            raise ValueError(f"unknown side {self.side!r}")
+        if self.label not in OBSERVABLE_LABELS:
+            raise ValueError(f"unknown observable label {self.label!r}")
         matrix = np.array(self.matrix, dtype=complex)
         if matrix.shape != (4, 4):
             raise ValueError(f"observable matrix must be 4x4, got {matrix.shape}")
@@ -59,6 +60,10 @@ class Observable:
             spectrum.append((float(value), p))
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "spectrum", tuple(spectrum))
+
+    @property
+    def side(self) -> str:
+        return ALICE if self.label[0] == "A" else BOB
 
     def to_dict(self) -> dict:
         def entries(m):
@@ -81,14 +86,14 @@ def _side_ket(photon: str, friend: str) -> np.ndarray:
     return ket
 
 
-def _friend_readout(side: str, label: str) -> Observable:
+def _friend_readout(label: str) -> Observable:
     """Setting-0 observable: friend record F_v counts +1, F_h counts -1."""
     p_fv = kron(_I2, np.diag([0.0, 1.0]).astype(complex))
     p_fh = kron(_I2, np.diag([1.0, 0.0]).astype(complex))
-    return Observable(label, side, p_fv - p_fh, ((+1.0, p_fv), (-1.0, p_fh)))
+    return Observable(label, p_fv - p_fh, ((+1.0, p_fv), (-1.0, p_fh)))
 
 
-def _coherence_probe(side: str, label: str) -> Observable:
+def _coherence_probe(label: str) -> Observable:
     """Setting-1 observable built from (|h,F_v> +- |v,F_h>)/sqrt(2)."""
     r = 1.0 / math.sqrt(2.0)
     phi_plus = r * (_side_ket("h", "F_v") + _side_ket("v", "F_h"))
@@ -97,7 +102,7 @@ def _coherence_probe(side: str, label: str) -> Observable:
     p_minus = np.outer(phi_minus, phi_minus.conj())
     p_zero = _I4 - p_plus - p_minus
     return Observable(
-        label, side, p_plus - p_minus,
+        label, p_plus - p_minus,
         ((+1.0, p_plus), (-1.0, p_minus), (0.0, p_zero)),
     )
 
@@ -108,7 +113,7 @@ def make_observable(label: str) -> Observable:
     if label not in OBSERVABLE_LABELS:
         raise ValueError(f"unknown observable label {label!r}")
     build = _friend_readout if label[1] == "0" else _coherence_probe
-    return build(ALICE if label[0] == "A" else BOB, label)
+    return build(label)
 
 
 def alice_observable(setting: int) -> Observable:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NORM_TOL = 1e-12
+from .linalg import DEFAULT_TOL
 
 PHOTON_LABELS = ("h", "v")
 FRIEND_LABELS = ("F_h", "F_v")
@@ -84,18 +84,11 @@ class StateVector:
             raise ValueError(f"unsupported dimension {amps.shape[0]}")
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {np.linalg.norm(amps)!r} is not 1 within {NORM_TOL}")
+        if abs(np.linalg.norm(amps) - 1.0) > DEFAULT_TOL:
+            raise ValueError(f"state norm {np.linalg.norm(amps)!r} is not 1 within {DEFAULT_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "subsystems", subsystems)
         object.__setattr__(self, "amplitudes", amps)
-
-    def __eq__(self, other):
-        if not isinstance(other, StateVector):
-            return NotImplemented
-        return self.subsystems == other.subsystems and np.array_equal(
-            self.amplitudes, other.amplitudes
-        )
 
     @property
     def dim(self) -> int:

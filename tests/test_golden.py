@@ -47,6 +47,9 @@ CASES = {
     "grw_sim_blocks": (
         "grw-sim", "--n", "1e25", "--t", "1e-9", "--trials", "100000", "--seed", "7"
     ),
+    # the --scale preset: instrument parameters (n 1e25, t 1e3 s, rate 1e-16/s)
+    "grw_prob_macro": ("grw-prob", "--scale", "macro"),
+    "grw_sim_macro": ("grw-sim", "--scale", "macro", "--trials", "1000", "--seed", "7"),
 }
 
 

@@ -218,10 +218,10 @@ def test_branch_ensembles_preserve_friend_distribution():
 
 
 def test_friend_scale_bucket_validation():
-    with pytest.raises(ValueError, match="microscopic"):
-        FriendScale("microscopic", INSTRUMENT_PARAMS)
-    with pytest.raises(ValueError, match="macroscopic"):
-        FriendScale("macroscopic", ATOM_PARAMS)
+    with pytest.raises(ValueError, match="microscopic friend cannot have"):
+        FriendScale("micro", INSTRUMENT_PARAMS)
+    with pytest.raises(ValueError, match="macroscopic friend cannot have"):
+        FriendScale("macro", ATOM_PARAMS)
     with pytest.raises(ValueError, match="kind"):
         FriendScale("mesoscopic", ATOM_PARAMS)
 

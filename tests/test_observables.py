@@ -106,6 +106,17 @@ def test_make_observable_rejects_unknown_label():
         make_observable("C0")
 
 
+def test_observable_refuses_a_label_outside_the_four():
+    # verify_algebra reads the setting from the label, so a bad one must not get that far
+    with pytest.raises(ValueError, match="unknown observable label 'A2'"):
+        Observable("A2", I4, ((1.0, I4),))
+
+
+def test_observable_side_is_the_first_letter_of_its_label():
+    assert Observable("B1", I4, ((1.0, I4),)).side == "bob"
+    assert Observable("A1", I4, ((1.0, I4),)).side == "alice"
+
+
 def test_verify_algebra_passes_on_builtins():
     report = verify_algebra()
     assert report.all_passed
@@ -123,15 +134,15 @@ def test_verify_algebra_flags_corrupted_a1():
     good = make_observable("A1")
     corrupted_matrix = np.array(good.matrix)
     corrupted_matrix[1, 2] = -corrupted_matrix[1, 2]
-    corrupted = Observable("A1", "alice", corrupted_matrix, good.spectrum)
+    corrupted = Observable("A1", corrupted_matrix, good.spectrum)
     report = verify_algebra(a1=corrupted)
     assert not report.all_passed
     assert not checks_by_name(report)["A1_squared_support"].passed
 
 
 def test_verify_algebra_flags_identity_observables():
-    identity = Observable("A0", "alice", I4, ((1.0, I4),))
-    identity_b = Observable("B0", "bob", I4, ((1.0, I4),))
+    identity = Observable("A0", I4, ((1.0, I4),))
+    identity_b = Observable("B0", I4, ((1.0, I4),))
     report = verify_algebra(a0=identity, b0=identity_b)
     checks = checks_by_name(report)
     assert checks["commute_A0_B0"].passed  # trivially zero

@@ -85,8 +85,9 @@ _JSON_TYPES = {int: ("an integer", int), float: ("a number", (int, float)), str:
 def _check(key: str, value, source: str):
     """Return ``value`` if it is valid for setting ``key``, else raise ``UsageError``
     naming ``source`` (the setting, config key or environment variable): the
-    seed fits in u64, any other int is positive, a float is finite, and a value
-    with choices is one of them."""
+    seed fits in u64, shots are at least 2 (a sample variance needs two), any
+    other int is positive, a float is finite, and a value with choices is one
+    of them."""
     options, kind, _ = _SETTINGS[key]
     choices = options.get("choices")
     if key == "seed":
@@ -94,6 +95,8 @@ def _check(key: str, value, source: str):
             raise UsageError(f"{source} must fit in an unsigned 64-bit integer")
     elif kind is int and value < 1:
         raise UsageError(f"{source} must be positive, got {value!r}")
+    elif key == "shots" and value < 2:
+        raise UsageError(f"{source} must be at least 2, got {value!r}")
     if kind is float and not math.isfinite(value):
         raise UsageError(f"{source} must be finite, got {value!r}")
     if choices is not None and value not in choices:

@@ -286,17 +286,23 @@ def agreement_report(
     each backend dephases the friends before the coherence measurements and
     S drops to sqrt(2)/2, below the classical bound. Reports are exact by
     default; ``sampled=True`` swaps in seeded Monte Carlo reports drawn from
-    each backend's ensemble (shared per-setting streams, so agreeing
-    ensembles yield bit-identical samples).
+    each backend's ensemble on shared per-setting streams.
+
+    The engine runs once per distinct ensemble, keyed by each branch's weight,
+    layout and amplitude bytes; backends with equal ensembles share one
+    report, the one each would have computed on its own.
     """
     state = bell_wigner_state()
     reports: dict[str, ChshReport] = {}
+    computed: dict[tuple, ChshReport] = {}
     for name, build in _ENSEMBLE_BUILDERS.items():
         ensemble = build(state, scale)
-        if sampled:
-            reports[name] = chsh_engine.chsh_sampled(ensemble, shots, seed)
-        else:
-            reports[name] = chsh_engine.chsh_exact(ensemble)
+        key = tuple((b.weight, b.state.subsystems, b.state.amplitudes.tobytes())
+                    for b in ensemble)
+        if key not in computed:
+            computed[key] = (chsh_engine.chsh_sampled(ensemble, shots, seed) if sampled
+                             else chsh_engine.chsh_exact(ensemble))
+        reports[name] = computed[key]
     s_values = [report.s_value for report in reports.values()]
     all_equal = max(s_values) - min(s_values) <= DEFAULT_TOL
     return AgreementReport(scale.kind, reports, all_equal)

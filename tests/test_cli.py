@@ -386,7 +386,8 @@ USAGE_ERRORS = {
     "seed_env_garbage": (["chsh-exact"], None, "x", 2,
                          "error: BELLWIGNER_SEED must be an integer, got 'x'"),
     "one_shot": (["chsh-sample", "--shots", "1"], None, None, 2,
-                 "error: shots_per_setting must be at least 2 (sample variance)"),
+                 "bellwigner chsh-sample: error: argument --shots: "
+                 "shots must be at least 2, got 1"),
     "unknown_key": (["chsh-exact"], '{"shotz": 5}', None, 2,
                     "error: unknown config key 'shotz'"),
     "int_type": (["chsh-exact"], '{"shots": "many"}', None, 2,
@@ -516,7 +517,7 @@ def _setting_values(key):
     if "choices" in options:
         return st.sampled_from(options["choices"])
     if kind is int:
-        return st.integers(0 if key == "seed" else 1, 2 ** 64 - 1)
+        return st.integers({"seed": 0, "shots": 2}.get(key, 1), 2 ** 64 - 1)
     if kind is float:
         return st.integers(-10 ** 6, 10 ** 6) | st.floats(allow_nan=False, allow_infinity=False)
     return st.text("ab/.-_", min_size=1, max_size=8)
@@ -551,7 +552,7 @@ def test_settings_precedence_flag_config_env_default(tmp_path_factory, data):
 
 
 # values every setting is given, besides its choices and a string that is none of them
-BOUNDARY_VALUES = (0, -0.0, -1, 1e308, 1e-320, 2 ** 63, 2 ** 64, math.nan, math.inf)
+BOUNDARY_VALUES = (0, 1, 2, -0.0, -1, 1e308, 1e-320, 2 ** 63, 2 ** 64, math.nan, math.inf)
 
 
 def _boundary_cases(key):

@@ -50,6 +50,12 @@ CASES = {
     # the --scale preset: instrument parameters (n 1e25, t 1e3 s, rate 1e-16/s)
     "grw_prob_macro": ("grw-prob", "--scale", "macro"),
     "grw_sim_macro": ("grw-sim", "--scale", "macro", "--trials", "1000", "--seed", "7"),
+    # sampled runs where the GRW ensemble differs from the other two, so each
+    # report must land on the backend whose ensemble drew it
+    "agreement_micro_long_sampled": (
+        "agreement", "--scale", "micro", "--n", "1e6", "--t", "1e12", *SAMPLED
+    ),
+    "agreement_macro_short_sampled": ("agreement", "--scale", "macro", "--t", "1e-12", *SAMPLED),
 }
 
 

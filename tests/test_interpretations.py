@@ -288,6 +288,46 @@ def test_agreement_document_shape():
     assert doc["all_equal"] is True
 
 
+# (scale, distinct backend ensembles): at the presets all three backends agree;
+# a long micro run and a short macro run make GRW disagree with the other two
+AGREEMENT_SCALES = {
+    "micro": (FriendScale.microscopic(), 1),
+    "macro": (FriendScale.macroscopic(), 1),
+    "micro_long": (FriendScale("micro", GrwParams(1e6, 1e12)), 2),
+    "macro_short": (FriendScale("macro", GrwParams(1e25, 1e-12)), 2),
+}
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
+@pytest.mark.parametrize("case", AGREEMENT_SCALES)
+def test_agreement_runs_the_engine_once_per_distinct_ensemble(monkeypatch, case, sampled):
+    import bellwigner.interpretations as interp
+
+    scale, distinct = AGREEMENT_SCALES[case]
+    engine = interp.chsh_engine
+    exact, sampled_run = engine.chsh_exact, engine.chsh_sampled
+    runs = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            runs.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(engine, "chsh_exact", counted(exact))
+    monkeypatch.setattr(engine, "chsh_sampled", counted(sampled_run))
+    report = agreement_report(scale, shots=1000, seed=11, sampled=sampled)
+    assert runs == ["chsh_sampled" if sampled else "chsh_exact"] * distinct
+
+    # oracle: the engine run on every backend's ensemble in turn
+    state = bell_wigner_state()
+    for name, build in _ENSEMBLE_BUILDERS.items():
+        ensemble = build(state, scale)
+        expected = sampled_run(ensemble, 1000, 11) if sampled else exact(ensemble)
+        assert repr(report.backends[name].to_dict()) == repr(expected.to_dict()), name
+    assert report.all_equal == (distinct == 1)
+
+
 def test_branch_document():
     branch = many_worlds_branches(correlate_friend(plus_photon()))[0]
     doc = branch.to_dict()

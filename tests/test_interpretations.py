@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bellwigner.chsh import SETTING_PAIRS, chsh_exact, joint_distribution
@@ -396,9 +396,14 @@ def test_grw_simulate_caps_draws_per_call():
         grw_simulate(ATOM_PARAMS, MAX_DRAWS + 1, seed=0)
 
 
+def one_shot_times(total_rate, trials, seed):
+    """Reference: grw_simulate's formula for every trial's time, in one pass."""
+    return -np.log1p(-np.random.default_rng(seed).random(trials)) / total_rate
+
+
 def one_shot_grw(params, trials, seed):
-    """Reference: grw_simulate's formula over all trials in one pass."""
-    times = -np.log1p(-np.random.default_rng(seed).random(trials)) / params.total_rate
+    """Reference: grw_simulate's result from every trial's time, in one pass."""
+    times = one_shot_times(params.total_rate, trials, seed)
     collapsed = (times > 0.0) & (times <= params.duration_s)
     count = int(np.count_nonzero(collapsed))
     mean_time = float(times[collapsed].mean()) if count else None
@@ -408,23 +413,85 @@ def one_shot_grw(params, trials, seed):
 BLOCK_EDGES = (1, _GRW_BLOCK - 1, _GRW_BLOCK, _GRW_BLOCK + 1, 2 * _GRW_BLOCK + 1)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(
-    trials=st.sampled_from(BLOCK_EDGES) | st.integers(1, 4 * _GRW_BLOCK),
-    # total rate 1e9 /s: the mean first-collapse time is 1 ns
-    duration=st.sampled_from((0.0, 1e-12, 1e3)) | st.floats(0.3e-9, 2e-9),
-    seed=st.integers(0, 2 ** 64 - 1),
-)
-def test_grw_simulate_in_blocks_matches_one_pass_bit_for_bit(trials, duration, seed):
-    params = GrwParams(1e25, duration, 1e-16)
+@st.composite
+def grw_runs(draw):
+    """(params, trials, seed), the duration often on an edge of the draw selection."""
+    trials = draw(st.sampled_from(BLOCK_EDGES) | st.integers(1, 4 * _GRW_BLOCK))
+    seed = draw(st.integers(0, 2 ** 64 - 1))
+    n, rate = draw(st.floats(1.0, 1e25)), draw(st.floats(1e-20, 1e-12))
+    # mean collapses per run, n * rate * duration: at 1e-308 the collapse
+    # probability 1 - exp(-n * rate * duration) is subnormal, and at 40 it rounds to 1.0
+    mean_collapses = draw(st.sampled_from((0.0, 1e-308, 1e-3, 40.0, 1e12)) | st.floats(0.3, 2.0))
+    duration = mean_collapses / (n * rate)
+    if draw(st.booleans()):
+        # a drawn trial's computed time, or one of its two float neighbours
+        t = one_shot_times(n * rate, trials, seed)[draw(st.integers(0, trials - 1))]
+        duration = float(np.nextafter(t, draw(st.sampled_from((-math.inf, t, math.inf)))))
+    return GrwParams(n, duration, rate), trials, seed
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(run=grw_runs())
+@example(run=(ATOM_PARAMS, 2 * _GRW_BLOCK + 1, 7))
+# 1 - exp(-rate * duration) subnormal, then rounding to 1.0, at a total rate of 1e9 /s
+@example(run=(GrwParams(1e25, 1e-317, 1e-16), 2 * _GRW_BLOCK + 1, 7))
+@example(run=(GrwParams(1e25, 40e-9, 1e-16), 2 * _GRW_BLOCK + 1, 7))
+def test_grw_simulate_in_blocks_matches_one_pass_bit_for_bit(run):
+    params, trials, seed = run
     expected = one_shot_grw(params, trials, seed)
     assert repr(grw_simulate(params, trials, seed)) == repr(expected)
 
 
-def test_grw_simulate_memory_is_the_times_plus_one_block():
-    # every trial collapses, so every time is kept; numpy reports its
-    # buffers to tracemalloc
-    params, trials = GrwParams(1e25, 1e-6, 1e-16), 10 ** 6
+def grw_kernel_copy(params, trials, seed, margin):
+    """grw_simulate's loop with the relative margin of its draw bound as a parameter."""
+    rate = params.total_rate
+    bound = grw_exact_probability(params) * (1.0 + margin)
+    rng = np.random.default_rng(seed)
+    block = np.empty(min(trials, _GRW_BLOCK))
+    times = np.empty(trials)
+    count = 0
+    for start in range(0, trials, _GRW_BLOCK):
+        u = block[:trials - start]
+        rng.random(out=u)
+        picked = np.flatnonzero(u <= bound)
+        t = times[count:count + picked.size]
+        u.take(picked, out=t, mode="clip")
+        np.log1p(np.negative(t, out=t), out=t)
+        np.divide(t, -rate, out=t)
+        collapsed = (t > 0.0) & (t <= params.duration_s)
+        kept = int(np.count_nonzero(collapsed))
+        if kept < t.size:
+            t[:kept] = t[collapsed]
+        count += kept
+    mean_time = float(times[:count].mean()) if count else None
+    return GrwSimResult(count / trials, mean_time)
+
+
+def test_a_draw_bound_without_its_margin_fails_at_trial_times():
+    # at a duration equal to a trial's computed time, 1 - exp(-rate * duration)
+    # can round an ulp or two below that trial's draw: a bound with no margin
+    # leaves out a draw that collapses, and these durations catch it
+    n, rate, trials, seed = 1e25, 1e-16, 1000, 3
+    runs = [(GrwParams(n, float(t), rate), trials, seed)
+            for t in one_shot_times(n * rate, trials, seed)]
+    expected = [repr(one_shot_grw(*run)) for run in runs]
+    assert [repr(grw_simulate(*run)) for run in runs] == expected
+    assert [repr(grw_kernel_copy(*run, margin=1e-9)) for run in runs] == expected
+    too_tight = [repr(grw_kernel_copy(*run, margin=0.0)) for run in runs]
+    assert sum(got != want for got, want in zip(too_tight, expected)) > 0
+
+
+def test_grw_simulate_reads_its_trial_count_as_an_integer():
+    params = GrwParams(1e25, 1e-9, 1e-16)
+    result = grw_simulate(params, np.int64(1000), 3)
+    assert repr(result) == repr(grw_simulate(params, 1000, 3))
+    assert type(result.collapsed_fraction) is float
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        grw_simulate(params, 1000.0, 3)
+
+
+def grw_peak_bytes(params, trials):
+    """The result of one grw_simulate call and the peak of what it allocated."""
     grw_simulate(params, 10, seed=2)  # what numpy imports lazily is loaded first
     tracemalloc.start()
     try:
@@ -432,5 +499,23 @@ def test_grw_simulate_memory_is_the_times_plus_one_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_grw_simulate_memory_is_the_times_plus_one_block():
+    # every trial collapses, so every draw is selected and every time kept;
+    # numpy reports its buffers to tracemalloc. Beyond the 8 B per trial of
+    # the times, the block of draws, the selected draws' indices and the
+    # masks of one block take well under 2 MiB.
+    trials = 10 ** 6
+    result, peak = grw_peak_bytes(GrwParams(1e25, 1e-6, 1e-16), trials)
     assert result.collapsed_fraction == 1.0
+    assert peak <= 8 * trials + 2 * 2 ** 20
+
+
+def test_grw_simulate_memory_at_the_atom_preset_meets_the_same_bound():
+    # almost no draw is selected; the times are still reserved for every trial
+    trials = 10 ** 6
+    result, peak = grw_peak_bytes(ATOM_PARAMS, trials)
+    assert result.collapsed_fraction == 0.0
     assert peak <= 8 * trials + 2 * 2 ** 20

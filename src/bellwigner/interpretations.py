@@ -104,23 +104,20 @@ class GrwSimResult:
         }
 
 
-# Most trials per grw_simulate call; at 10^7 its collapse times reserve 80 MB (76 MiB).
+# Most trials per grw_simulate call; the collapse times take 8 B per collapsed
+# trial, so at 10^7 trials they reserve at most 80 MB (76 MiB).
 MAX_DRAWS = 10 ** 7
-# Trials per pass of grw_simulate: 2^15 float64 draws (256 KiB) stay in cache
-# while they are selected; the selected draws' indices take at most as much.
-_GRW_BLOCK = 1 << 15
 
 
 def grw_simulate(params: GrwParams, trials: int, seed: int) -> GrwSimResult:
     """Monte Carlo first-collapse times from a Poisson process at rate n*rate.
 
-    Trial ``i`` consumes the i-th variate of the seeded stream, so block
-    generation (e.g. with PCG64.advance) reproduces the serial run exactly.
-    At most ``MAX_DRAWS`` trials are drawn in one call, in blocks of
-    ``_GRW_BLOCK``. Only the draws that can collapse within the duration are
-    copied out of a block and turned into times; the exact test on those times
-    decides, so the result equals transforming every draw. Memory is 8 B per
-    trial for the times plus one block of draws and one of their indices.
+    A trial collapses if its first collapse falls within the duration T, with
+    probability p = 1 - exp(-n*rate*T), so the collapsed count is one draw of
+    Binomial(trials, p) from the seeded stream. Given the count, the collapse
+    times are i.i.d. exponentials truncated at T, drawn by inversion: for
+    uniforms u in [0, 1), t = -log1p(-(1 - u) * p) / (n*rate), clamped at T.
+    Only collapsed trials cost a draw; memory is their times, 8 B each.
     """
     trials = operator.index(trials)
     if trials < 1:
@@ -130,39 +127,21 @@ def grw_simulate(params: GrwParams, trials: int, seed: int) -> GrwSimResult:
     rate = params.total_rate
     if rate < MIN_TOTAL_RATE:
         raise ValueError(f"total rate {rate!r} /s is below {MIN_TOTAL_RATE} (underflow risk)")
-    # A time t = -log1p(-u) / rate is at most the duration only if
-    # u <= 1 - exp(-rate * duration). The relative margin of 1e-9 is far wider
-    # than the few-ulp error of log1p, expm1 and the division, so every draw
-    # that collapses passes the bound; the exact test below drops the others.
-    # Draws are multiples of 2**-53, so a bound below that, where a subnormal
-    # may not hold the margin, admits only u == 0, which never collapses.
-    bound = grw_exact_probability(params) * (1.0 + 1e-9)
+    p = grw_exact_probability(params)
     rng = np.random.default_rng(seed)
-    block = np.empty(min(trials, _GRW_BLOCK))
-    times = np.empty(trials)
-    count = 0
-    for start in range(0, trials, _GRW_BLOCK):
-        u = block[:trials - start]
-        rng.random(out=u)
-        picked = np.flatnonzero(u <= bound)
-        # the candidates, in trial order, go straight to their slice of times;
-        # mode "clip" spares the copy of ``out`` that "raise" makes, and
-        # flatnonzero's indices are all in range
-        t = times[count:count + picked.size]
-        u.take(picked, out=t, mode="clip")
-        # t = -log1p(-u) / rate; dividing by -rate rounds exactly as negating
-        np.log1p(np.negative(t, out=t), out=t)
-        np.divide(t, -rate, out=t)
-        # A continuous first-collapse time is strictly positive; the measure-zero
-        # draw u == 0 maps to t == 0 and is excluded so duration 0 never collapses.
-        collapsed = (t > 0.0) & (t <= params.duration_s)
-        kept = int(np.count_nonzero(collapsed))
-        if kept < t.size:  # u == 0, or a draw inside the bound's margin
-            t[:kept] = t[collapsed]
-        count += kept
-    # the collapsed times in trial order, so the pairwise sum matches one pass
-    mean_time = float(times[:count].mean()) if count else None
-    return GrwSimResult(count / trials, mean_time)
+    count = int(rng.binomial(trials, p))
+    if not count:
+        return GrwSimResult(0.0, None)
+    t = rng.random(count)
+    # v = 1 - u lies in (0, 1], so t > 0; at u == 0 and p rounded to 1.0,
+    # log1p(-1) is -inf and the clamp makes t = T
+    np.subtract(1.0, t, out=t)
+    np.multiply(t, -p, out=t)
+    with np.errstate(divide="ignore"):
+        np.log1p(t, out=t)
+    np.divide(t, -rate, out=t)
+    np.minimum(t, params.duration_s, out=t)
+    return GrwSimResult(count / trials, float(t.mean()))
 
 
 @dataclass(frozen=True)

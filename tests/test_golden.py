@@ -42,8 +42,8 @@ CASES = {
        for name in ("plus-photon", "correlated", "entangled-pair", "bell-wigner")},
     **{f"dump_observable_{label}": ("dump-observable", label)
        for label in ("A0", "A1", "B0", "B1")},
-    # more trials than one block of the streamed GRW kernel (listed last, so
-    # the cases above keep their test ids)
+    # ten times grw_sim's trials, a run of ~63 000 collapse times (listed
+    # last, so the cases above keep their test ids)
     "grw_sim_blocks": (
         "grw-sim", "--n", "1e25", "--t", "1e-9", "--trials", "100000", "--seed", "7"
     ),

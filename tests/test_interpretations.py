@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from bellwigner.chsh import SETTING_PAIRS, chsh_exact, joint_distribution
 from bellwigner.interpretations import (
     _ENSEMBLE_BUILDERS,
-    _GRW_BLOCK,
     ATOM_PARAMS,
     INSTRUMENT_PARAMS,
     MAX_DRAWS,
@@ -132,16 +131,6 @@ def test_grw_simulate_zero_duration():
 def test_grw_simulate_is_deterministic():
     params = GrwParams(1e25, 1e-9, 1e-16)
     assert grw_simulate(params, 10_000, seed=9) == grw_simulate(params, 10_000, seed=9)
-
-
-def test_grw_simulate_block_generation_matches_serial():
-    # trial i consumes the i-th variate, so advancing the bit generator
-    # reproduces any block of the serial stream (the parallel contract)
-    serial = np.random.default_rng(13).random(1000)
-    bg = np.random.PCG64(13)
-    bg.advance(600)
-    block = np.random.Generator(bg).random(400)
-    assert np.array_equal(serial[600:], block)
 
 
 def test_grw_simulate_rejects_bad_inputs():
@@ -396,89 +385,53 @@ def test_grw_simulate_caps_draws_per_call():
         grw_simulate(ATOM_PARAMS, MAX_DRAWS + 1, seed=0)
 
 
-def one_shot_times(total_rate, trials, seed):
-    """Reference: grw_simulate's formula for every trial's time, in one pass."""
-    return -np.log1p(-np.random.default_rng(seed).random(trials)) / total_rate
-
-
-def one_shot_grw(params, trials, seed):
-    """Reference: grw_simulate's result from every trial's time, in one pass."""
-    times = one_shot_times(params.total_rate, trials, seed)
-    collapsed = (times > 0.0) & (times <= params.duration_s)
-    count = int(np.count_nonzero(collapsed))
-    mean_time = float(times[collapsed].mean()) if count else None
-    return GrwSimResult(count / trials, mean_time)
-
-
-BLOCK_EDGES = (1, _GRW_BLOCK - 1, _GRW_BLOCK, _GRW_BLOCK + 1, 2 * _GRW_BLOCK + 1)
-
-
 @st.composite
 def grw_runs(draw):
-    """(params, trials, seed), the duration often on an edge of the draw selection."""
-    trials = draw(st.sampled_from(BLOCK_EDGES) | st.integers(1, 4 * _GRW_BLOCK))
+    """(params, trials, seed), the collapse probability often at an edge of float range."""
+    trials = draw(st.integers(1, 1 << 17))
     seed = draw(st.integers(0, 2 ** 64 - 1))
     n, rate = draw(st.floats(1.0, 1e25)), draw(st.floats(1e-20, 1e-12))
     # mean collapses per run, n * rate * duration: at 1e-308 the collapse
     # probability 1 - exp(-n * rate * duration) is subnormal, and at 40 it rounds to 1.0
     mean_collapses = draw(st.sampled_from((0.0, 1e-308, 1e-3, 40.0, 1e12)) | st.floats(0.3, 2.0))
-    duration = mean_collapses / (n * rate)
-    if draw(st.booleans()):
-        # a drawn trial's computed time, or one of its two float neighbours
-        t = one_shot_times(n * rate, trials, seed)[draw(st.integers(0, trials - 1))]
-        duration = float(np.nextafter(t, draw(st.sampled_from((-math.inf, t, math.inf)))))
-    return GrwParams(n, duration, rate), trials, seed
+    return GrwParams(n, mean_collapses / (n * rate), rate), trials, seed
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(run=grw_runs())
-@example(run=(ATOM_PARAMS, 2 * _GRW_BLOCK + 1, 7))
+@example(run=(ATOM_PARAMS, 65537, 7))
 # 1 - exp(-rate * duration) subnormal, then rounding to 1.0, at a total rate of 1e9 /s
-@example(run=(GrwParams(1e25, 1e-317, 1e-16), 2 * _GRW_BLOCK + 1, 7))
-@example(run=(GrwParams(1e25, 40e-9, 1e-16), 2 * _GRW_BLOCK + 1, 7))
-def test_grw_simulate_in_blocks_matches_one_pass_bit_for_bit(run):
+@example(run=(GrwParams(1e25, 1e-317, 1e-16), 65537, 7))
+@example(run=(GrwParams(1e25, 40e-9, 1e-16), 65537, 7))
+def test_grw_simulate_reports_a_count_and_a_mean_within_the_duration(run):
     params, trials, seed = run
-    expected = one_shot_grw(params, trials, seed)
-    assert repr(grw_simulate(params, trials, seed)) == repr(expected)
+    result = grw_simulate(params, trials, seed)
+    assert repr(grw_simulate(params, trials, seed)) == repr(result)
+    # the fraction is count / trials for an integer count
+    count = round(result.collapsed_fraction * trials)
+    assert 0 <= count <= trials and count / trials == result.collapsed_fraction
+    if count == 0:
+        assert result.mean_collapse_time_s is None
+    else:
+        assert 0.0 < result.mean_collapse_time_s <= params.duration_s
 
 
-def grw_kernel_copy(params, trials, seed, margin):
-    """grw_simulate's loop with the relative margin of its draw bound as a parameter."""
-    rate = params.total_rate
-    bound = grw_exact_probability(params) * (1.0 + margin)
-    rng = np.random.default_rng(seed)
-    block = np.empty(min(trials, _GRW_BLOCK))
-    times = np.empty(trials)
-    count = 0
-    for start in range(0, trials, _GRW_BLOCK):
-        u = block[:trials - start]
-        rng.random(out=u)
-        picked = np.flatnonzero(u <= bound)
-        t = times[count:count + picked.size]
-        u.take(picked, out=t, mode="clip")
-        np.log1p(np.negative(t, out=t), out=t)
-        np.divide(t, -rate, out=t)
-        collapsed = (t > 0.0) & (t <= params.duration_s)
-        kept = int(np.count_nonzero(collapsed))
-        if kept < t.size:
-            t[:kept] = t[collapsed]
-        count += kept
-    mean_time = float(times[:count].mean()) if count else None
-    return GrwSimResult(count / trials, mean_time)
+class ZeroDraws:
+    """A generator stub: every trial collapses and every uniform is 0."""
+
+    def binomial(self, n, p):
+        return n
+
+    def random(self, size):
+        return np.zeros(size)
 
 
-def test_a_draw_bound_without_its_margin_fails_at_trial_times():
-    # at a duration equal to a trial's computed time, 1 - exp(-rate * duration)
-    # can round an ulp or two below that trial's draw: a bound with no margin
-    # leaves out a draw that collapses, and these durations catch it
-    n, rate, trials, seed = 1e25, 1e-16, 1000, 3
-    runs = [(GrwParams(n, float(t), rate), trials, seed)
-            for t in one_shot_times(n * rate, trials, seed)]
-    expected = [repr(one_shot_grw(*run)) for run in runs]
-    assert [repr(grw_simulate(*run)) for run in runs] == expected
-    assert [repr(grw_kernel_copy(*run, margin=1e-9)) for run in runs] == expected
-    too_tight = [repr(grw_kernel_copy(*run, margin=0.0)) for run in runs]
-    assert sum(got != want for got, want in zip(too_tight, expected)) > 0
+def test_grw_simulate_clamps_a_zero_draw_at_p_one_to_the_duration(monkeypatch):
+    # u == 0 gives -log1p(-1 * p) = inf when p rounds to 1.0; the time is the duration
+    params = GrwParams(1e25, 1.0, 1e-16)
+    assert grw_exact_probability(params) == 1.0
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroDraws())
+    assert repr(grw_simulate(params, 4, seed=0)) == repr(GrwSimResult(1.0, 1.0))
 
 
 def test_grw_simulate_reads_its_trial_count_as_an_integer():
@@ -503,19 +456,15 @@ def grw_peak_bytes(params, trials):
 
 
 def test_grw_simulate_memory_is_the_times_plus_one_block():
-    # every trial collapses, so every draw is selected and every time kept;
-    # numpy reports its buffers to tracemalloc. Beyond the 8 B per trial of
-    # the times, the block of draws, the selected draws' indices and the
-    # masks of one block take well under 2 MiB.
-    trials = 10 ** 6
-    result, peak = grw_peak_bytes(GrwParams(1e25, 1e-6, 1e-16), trials)
+    # every trial collapses; numpy reports its buffers to tracemalloc. Beyond
+    # the 8 B per collapsed trial of the times, a few small objects remain.
+    result, peak = grw_peak_bytes(GrwParams(1e25, 1e-6, 1e-16), 10 ** 6)
     assert result.collapsed_fraction == 1.0
-    assert peak <= 8 * trials + 2 * 2 ** 20
+    assert peak <= 8 * 10 ** 6 + 64 * 2 ** 10
 
 
 def test_grw_simulate_memory_at_the_atom_preset_meets_the_same_bound():
-    # almost no draw is selected; the times are still reserved for every trial
-    trials = 10 ** 6
-    result, peak = grw_peak_bytes(ATOM_PARAMS, trials)
+    # no trial collapses, so no time is drawn or stored
+    result, peak = grw_peak_bytes(ATOM_PARAMS, 10 ** 6)
     assert result.collapsed_fraction == 0.0
-    assert peak <= 8 * trials + 2 * 2 ** 20
+    assert peak <= 64 * 2 ** 10

@@ -11,7 +11,6 @@ macroscopic ones.
 from .chsh import (
     ChshReport,
     JointOutcome,
-    TSIRELSON_BOUND,
     chsh_exact,
     chsh_sampled,
     classical_assignments,
@@ -64,7 +63,6 @@ __all__ = [
     "JointOutcome",
     "Observable",
     "StateVector",
-    "TSIRELSON_BOUND",
     "agreement_report",
     "bell_wigner_state",
     "chsh_exact",

@@ -5,10 +5,13 @@ measurement of one Alice setting with one Bob setting uses products of the
 lifted spectral projectors, which is legitimate because the two sides
 commute; no sequential collapse is involved.
 
-The engine takes a 16-dim state or an ensemble, a sequence of branches with
-``weight`` and ``state`` such as ``interpretations.Branch``; a bare state is
-the ensemble of itself with weight 1. An ensemble's correlators and outcome
-tables are the Born-weighted averages of its branches'.
+The engine takes a 16-dim state over ``states.FULL_LAYOUT`` or an ensemble,
+a sequence of branches with ``weight`` and such a ``state``, such as
+``interpretations.Branch``; a bare state is the ensemble of itself with
+weight 1. A state was checked (finite, normalized) when it was built, so
+the engine checks only its layout and refuses any other subsystem order,
+such as the friends in the photon slots. An ensemble's correlators and
+outcome tables are the Born-weighted averages of its branches'.
 
 Sampling draws the outcome-cell counts of each setting pair (i, j) at once,
 so time and memory do not grow with the shot count, from a generator seeded
@@ -29,10 +32,9 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, expectation
 from .observables import alice_observable, bob_observable, check_setting, lift, lifted_spectrum
-from .states import StateVector
+from .states import FULL_LAYOUT, StateVector
 
 SETTING_PAIRS = ((1, 1), (1, 0), (0, 1), (0, 0))
-TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 
 def s_from_correlators(correlators: dict[tuple[int, int], float]) -> float:
@@ -101,8 +103,9 @@ class ChshReport:
 
 
 def _require_full_state(state: StateVector) -> np.ndarray:
-    if state.dim != 16:
-        raise ValueError(f"CHSH engine needs the 16-dim state, got dim {state.dim}")
+    if state.subsystems != FULL_LAYOUT:
+        raise ValueError(
+            f"CHSH engine needs the 16-dim state over {FULL_LAYOUT}, got {state.subsystems}")
     return state.amplitudes
 
 

@@ -13,9 +13,10 @@ type a config file must give and its default. The parser, the config loader
 and the resolver all read that table, and config keys are the flag names.
 Whatever its source (flag, config or environment), a value meets one check,
 ``_check``: the seed fits in u64, another integer is positive, a number is
-finite and a choice is one of its choices. Its ``UsageError`` is also what
-argparse reports for a bad flag. The GRW settings n, t and rate default to
-the ``--scale`` preset, ``ATOM_PARAMS`` or ``INSTRUMENT_PARAMS``.
+finite, a choice is one of its choices and a path (``out``) is non-empty with
+no NUL byte. Its ``UsageError`` is also what argparse reports for a bad flag.
+The GRW settings n, t and rate default to the ``--scale`` preset,
+``ATOM_PARAMS`` or ``INSTRUMENT_PARAMS``.
 Each subcommand is declared once, by ``_command``, which adds its handler to
 ``_COMMANDS`` with its help (the handler's docstring), its CSV table and any
 argument of its own.
@@ -86,8 +87,8 @@ def _check(key: str, value, source: str):
     """Return ``value`` if it is valid for setting ``key``, else raise ``UsageError``
     naming ``source`` (the setting, config key or environment variable): the
     seed fits in u64, shots are at least 2 (a sample variance needs two), any
-    other int is positive, a float is finite, and a value with choices is one
-    of them."""
+    other int is positive, a float is finite, a value with choices is one of
+    them, and a string without choices, a path, is non-empty with no NUL byte."""
     options, kind, _ = _SETTINGS[key]
     choices = options.get("choices")
     if key == "seed":
@@ -101,6 +102,8 @@ def _check(key: str, value, source: str):
         raise UsageError(f"{source} must be finite, got {value!r}")
     if choices is not None and value not in choices:
         raise UsageError(f"{source} must be one of {choices}, got {value!r}")
+    if kind is str and choices is None and (value == "" or "\0" in value):
+        raise UsageError(f"{source} must be a non-empty path with no NUL byte, got {value!r}")
     return value
 
 
@@ -204,8 +207,6 @@ def _resolve(args: argparse.Namespace) -> dict:
     given = load_config(args.config) if args.config is not None else {}
     given.update((key, getattr(args, key)) for key in _SETTINGS if getattr(args, key) is not None)
     cfg.update(given)
-    if cfg["out"] == "":
-        raise UsageError("out must be a non-empty path")
     cfg.update((key, value) for key, value in vars(args).items() if key not in _SETTINGS)
     cfg["explicit"] = frozenset(given)
     return cfg

@@ -5,7 +5,8 @@ there is no eigensolver: every spectral decomposition in this package is
 written down analytically. ``DEFAULT_TOL``, the absolute 1e-12, is the
 package's one tolerance; only the branch-weight floor, the projector-rank
 tolerance and the GRW rate floor differ from it. All functions are pure;
-nothing here mutates its arguments.
+nothing here mutates its arguments. A state is checked once, when its
+``StateVector`` is built; ``expectation`` trusts it and checks the operator.
 """
 
 from __future__ import annotations
@@ -15,22 +16,16 @@ import numpy as np
 DEFAULT_TOL = 1e-12
 
 
-def _as_array(x, ndim: int) -> np.ndarray:
-    """Coerce to a finite, non-empty complex array of ``ndim`` (1 or 2) axes."""
-    kind = "vector" if ndim == 1 else "matrix"
-    a = np.asarray(x, dtype=complex)
-    if a.ndim != ndim:
-        raise ValueError(f"expected a {kind}, got array of ndim={a.ndim}")
-    if 0 in a.shape:
-        raise ValueError(f"{kind} must be non-empty")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{kind} entries must be finite")
-    return a
-
-
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a finite complex 2-D array, raising ValueError otherwise."""
-    return _as_array(m, 2)
+    """Coerce to a finite, non-empty complex 2-D array, raising ValueError otherwise."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got array of ndim={a.ndim}")
+    if 0 in a.shape:
+        raise ValueError("matrix must be non-empty")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    return a
 
 
 def frobenius_norm(m) -> float:
@@ -52,19 +47,19 @@ def is_hermitian(m) -> bool:
 def expectation(psi, m) -> float:
     """Real expectation value <psi| m |psi> of a Hermitian matrix.
 
-    Raises ValueError on dimension mismatch, a non-Hermitian matrix, or a
-    non-normalized state. The imaginary residue of the quadratic form is
-    required to stay below 1e-12.
+    ``psi`` must be a finite, normalized 1-D array, such as the amplitudes
+    of a ``StateVector``, which checked both when it was built; it is not
+    checked again here. Raises ValueError on dimension mismatch or a
+    non-finite or non-Hermitian matrix. The imaginary residue of the
+    quadratic form is required to stay below 1e-12.
     """
-    v = _as_array(psi, 1)
     a = as_matrix(m)
-    if a.shape != (v.shape[0], v.shape[0]):
-        raise ValueError(f"dimension mismatch: state dim {v.shape[0]}, matrix {a.shape}")
+    dim = len(psi)
+    if a.shape != (dim, dim):
+        raise ValueError(f"dimension mismatch: state dim {dim}, matrix {a.shape}")
     if not is_hermitian(a):
         raise ValueError("expectation requires a Hermitian matrix")
-    if abs(np.linalg.norm(v) - 1.0) > DEFAULT_TOL:
-        raise ValueError("expectation requires a normalized state")
-    value = np.vdot(v, a @ v)
+    value = np.vdot(psi, a @ psi)
     if abs(value.imag) > DEFAULT_TOL:
         raise ValueError(f"imaginary residue {value.imag:.3e} exceeds tolerance")
     return float(value.real)

@@ -131,22 +131,23 @@ def check_setting(setting: int) -> int:
     raise ValueError(f"setting must be 0 or 1, got {setting!r}")
 
 
-def lift(obs: Observable) -> np.ndarray:
-    """Embed a side observable in the full 16-dim space.
+def _embed(side: str, m: np.ndarray) -> np.ndarray:
+    """Embed a 4x4 operator of ``side`` in the full 16-dim space.
 
     Alice acts on the leading (photon_a, friend_a) factors, Bob on the
     trailing ones, matching the big-endian layout of :mod:`.states`.
     """
-    if obs.side == ALICE:
-        return kron(obs.matrix, _I4)
-    return kron(_I4, obs.matrix)
+    return kron(m, _I4) if side == ALICE else kron(_I4, m)
+
+
+def lift(obs: Observable) -> np.ndarray:
+    """Embed a side observable in the full 16-dim space."""
+    return _embed(obs.side, obs.matrix)
 
 
 def lifted_spectrum(obs: Observable) -> tuple[tuple[float, np.ndarray], ...]:
     """The spectrum of :func:`lift`: projectors embed the same way."""
-    if obs.side == ALICE:
-        return tuple((value, kron(p, _I4)) for value, p in obs.spectrum)
-    return tuple((value, kron(_I4, p)) for value, p in obs.spectrum)
+    return tuple((value, _embed(obs.side, p)) for value, p in obs.spectrum)
 
 
 @dataclass(frozen=True)

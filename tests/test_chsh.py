@@ -11,7 +11,6 @@ import pytest
 
 from bellwigner.chsh import (
     SETTING_PAIRS,
-    TSIRELSON_BOUND,
     ChshReport,
     chsh_exact,
     chsh_sampled,
@@ -23,11 +22,13 @@ from bellwigner.chsh import (
     sample_products,
     sample_setting_products,
 )
+from bellwigner.interpretations import Branch
 from bellwigner.observables import alice_observable, bob_observable
 from bellwigner.states import FULL_LAYOUT, StateVector, bell_wigner_state
 from oracle import ket
 
 SQRT_HALF = math.sqrt(2) / 2
+TSIRELSON = 2 * math.sqrt(2)
 
 
 def effective_two_qubit_correlators():
@@ -97,6 +98,23 @@ def test_report_document_keys():
 def test_exact_rejects_wrong_dimension():
     with pytest.raises(ValueError, match="16-dim"):
         chsh_exact(StateVector(("photon", "friend"), ket("h", "F_h")))
+
+
+# the four-photon amplitudes with each side's friend in its photon's slot
+PERMUTED = StateVector(("friend_a", "photon_a", "friend_b", "photon_b"),
+                       bell_wigner_state().amplitudes)
+
+
+@pytest.mark.parametrize("run", [
+    chsh_exact,
+    lambda state: chsh_sampled(state, 100, seed=0),
+    lambda state: joint_distribution(state, 1, 1),
+    lambda state: chsh_exact([Branch(0.5, bell_wigner_state(), "kept"),
+                              Branch(0.5, state, "permuted")]),
+], ids=["exact", "sampled", "joint", "ensemble"])
+def test_engine_rejects_a_permuted_layout(run):
+    with pytest.raises(ValueError, match=re.escape(str(FULL_LAYOUT))):
+        run(PERMUTED)
 
 
 def test_classical_max_is_two():
@@ -227,7 +245,7 @@ def test_tsirelson_ceiling_over_random_states():
     rng = np.random.default_rng(101)
     for _ in range(1000):
         report = chsh_exact(random_full_state(rng))
-        assert abs(report.s_value) <= TSIRELSON_BOUND + 1e-9
+        assert abs(report.s_value) <= TSIRELSON + 1e-9
 
 
 def test_parallel_sampling_reproduces_serial():
@@ -253,7 +271,7 @@ def test_sampled_shots_bound_is_int64():
     # counts, not shots, are drawn: the largest int64 shot count is one draw per setting
     report = chsh_sampled(bell_wigner_state(), 2 ** 63 - 1, seed=0)
     assert 0.0 < report.standard_error < 1e-9
-    assert abs(report.s_value - TSIRELSON_BOUND) <= 6 * report.standard_error
+    assert abs(report.s_value - TSIRELSON) <= 6 * report.standard_error
     with pytest.raises(ValueError, match=r"shots 9223372036854775808 exceeds the bound of 2\*\*63 - 1"):
         chsh_sampled(bell_wigner_state(), 2 ** 63, seed=0)
 

@@ -405,10 +405,19 @@ USAGE_ERRORS = {
     "unwritable_out": (["chsh-exact", "--out", "{dir}/missing/x.json"], None, None, 1,
                        "error: cannot write {dir}/missing/x.json: [Errno 2] "
                        "No such file or directory: '{dir}/missing/x.json'"),
+    # a path is non-empty with no NUL byte; argv cannot carry a NUL, main can
     "empty_out_flag": (["classical-bound", "--out", ""], None, None, 2,
-                       "error: out must be a non-empty path"),
+                       "bellwigner classical-bound: error: argument --out: "
+                       "out must be a non-empty path with no NUL byte, got ''"),
     "empty_out_config": (["classical-bound"], '{"out": ""}', None, 2,
-                         "error: out must be a non-empty path"),
+                         "error: config key 'out' must be a non-empty path with no NUL byte, "
+                         "got ''"),
+    "nul_out_flag": (["classical-bound", "--out", "a\0b"], None, None, 2,
+                     "bellwigner classical-bound: error: argument --out: "
+                     "out must be a non-empty path with no NUL byte, got 'a\\x00b'"),
+    "nul_out_config": (["classical-bound"], '{"out": "a\\u0000b"}', None, 2,
+                       "error: config key 'out' must be a non-empty path with no NUL byte, "
+                       "got 'a\\x00b'"),
     # flags are never abbreviated: a prefix is an unknown argument
     "flag_prefix": (["chsh-sample", "--sh", "5"], None, None, 2,
                     "bellwigner: error: unrecognized arguments: --sh 5"),
@@ -468,6 +477,15 @@ def test_usage_error_table(capsys, monkeypatch, tmp_path, case):
     assert (status, out) == (expected_status, "")
     assert err.endswith("\n")
     assert err.splitlines()[-1] == last_line.replace("{dir}", str(tmp_path))
+
+
+def test_nul_out_is_one_error_line(capsys, tmp_path):
+    config = tmp_path / "nul.json"
+    config.write_text('{"out": "a\\u0000b"}')
+    for argv in (["--out", "a\0b"], ["--config", str(config)]):
+        status, out, err = run_cli(capsys, "classical-bound", *argv)
+        assert (status, out) == (2, "")
+        assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:]
 
 
 # (argv, exact stderr line) of runs that exit 2 in both JSON and CSV

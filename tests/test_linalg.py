@@ -110,11 +110,6 @@ def test_expectation_rejects_non_hermitian():
         expectation(np.array([1.0, 0.0]), m)
 
 
-def test_expectation_rejects_unnormalized_state():
-    with pytest.raises(ValueError, match="normalized"):
-        expectation(np.array([1.0, 1.0]), np.diag([1.0, -1.0]))
-
-
 def test_commutator_self_is_zero():
     rng = np.random.default_rng(2)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

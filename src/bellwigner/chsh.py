@@ -13,6 +13,11 @@ the engine checks only its layout and refuses any other subsystem order,
 such as the friends in the photon slots. An ensemble's correlators and
 outcome tables are the Born-weighted averages of its branches'.
 
+The outcome cells of a setting pair, the products Pa@Pb of lifted spectral
+projectors, are checked once, when they are built and cached: each is finite
+and Hermitian, and a setting's cells sum to the identity. They are then
+read-only, so a joint table computes <psi|cell|psi> with no check per cell.
+
 Sampling draws the outcome-cell counts of each setting pair (i, j) at once,
 so time and memory do not grow with the shot count, from a generator seeded
 by hashing (seed, i, j): the four settings can be sampled in any order,
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, expectation
+from .linalg import DEFAULT_TOL, expectation, frobenius_norm, is_hermitian
 from .observables import alice_observable, bob_observable, check_setting, lift, lifted_spectrum
 from .states import FULL_LAYOUT, StateVector
 
@@ -138,11 +143,24 @@ def _lifted_products() -> dict[tuple[int, int], np.ndarray]:
 
 @functools.cache
 def _outcome_cells(i: int, j: int) -> tuple[tuple[float, float, np.ndarray], ...]:
-    """(a_value, b_value, Pa@Pb) for every outcome cell of setting (i, j)."""
+    """(a_value, b_value, Pa@Pb) for every outcome cell of setting (i, j).
+
+    Each cell is checked here, finite and Hermitian, and made read-only; the
+    cells must sum to the identity. Raises ValueError otherwise.
+    """
     cells = []
     for a_value, pa in lifted_spectrum(alice_observable(i)):
         for b_value, pb in lifted_spectrum(bob_observable(j)):
-            cells.append((a_value, b_value, pa @ pb))
+            cell = pa @ pb
+            if not is_hermitian(cell):
+                raise ValueError(f"outcome cell ({a_value}, {b_value}) of setting ({i}, {j}) "
+                                 "is not Hermitian")
+            cell.setflags(write=False)
+            cells.append((a_value, b_value, cell))
+    residual = frobenius_norm(sum(cell for *_, cell in cells) - np.eye(16))
+    if residual > DEFAULT_TOL:
+        raise ValueError(f"outcome cells of setting ({i}, {j}) sum to the identity "
+                         f"only within {residual:.3e}")
     return tuple(cells)
 
 
@@ -156,12 +174,20 @@ def chsh_exact(state: StateVector | Sequence) -> ChshReport:
 
 
 def joint_distribution(state: StateVector, i: int, j: int) -> list[JointOutcome]:
-    """Full joint outcome table for setting pair (i, j), zero cells included."""
+    """Full joint outcome table for setting pair (i, j), zero cells included.
+
+    Each probability is <psi|cell|psi>, the arithmetic of ``expectation``
+    without its operator check, which the cached cells passed when they
+    were built. Each imaginary residue must be at most 1e-12.
+    """
     psi = _require_full_state(state)
-    return [
-        JointOutcome(a_value, b_value, expectation(psi, projector))
-        for a_value, b_value, projector in _outcome_cells(check_setting(i), check_setting(j))
-    ]
+    cells = _outcome_cells(check_setting(i), check_setting(j))
+    values = [np.vdot(psi, cell @ psi) for *_, cell in cells]
+    residue = max(abs(value.imag) for value in values)
+    if residue > DEFAULT_TOL:
+        raise ValueError(f"imaginary residue {residue:.3e} exceeds tolerance")
+    return [JointOutcome(a_value, b_value, float(value.real))
+            for (a_value, b_value, _), value in zip(cells, values)]
 
 
 def sample_products(

@@ -14,7 +14,8 @@ and the resolver all read that table, and config keys are the flag names.
 Whatever its source (flag, config or environment), a value meets one check,
 ``_check``: the seed fits in u64, another integer is positive, a number is
 finite, a choice is one of its choices and a path (``out``) is non-empty with
-no NUL byte. Its ``UsageError`` is also what argparse reports for a bad flag.
+no NUL byte, and the file system can encode it. Its ``UsageError`` is also
+what argparse reports for a bad flag.
 The GRW settings n, t and rate default to the ``--scale`` preset,
 ``ATOM_PARAMS`` or ``INSTRUMENT_PARAMS``.
 Each subcommand is declared once, by ``_command``, which adds its handler to
@@ -88,7 +89,8 @@ def _check(key: str, value, source: str):
     naming ``source`` (the setting, config key or environment variable): the
     seed fits in u64, shots are at least 2 (a sample variance needs two), any
     other int is positive, a float is finite, a value with choices is one of
-    them, and a string without choices, a path, is non-empty with no NUL byte."""
+    them, and a string without choices, a path, is non-empty with no NUL byte
+    and one the file system can encode."""
     options, kind, _ = _SETTINGS[key]
     choices = options.get("choices")
     if key == "seed":
@@ -102,8 +104,14 @@ def _check(key: str, value, source: str):
         raise UsageError(f"{source} must be finite, got {value!r}")
     if choices is not None and value not in choices:
         raise UsageError(f"{source} must be one of {choices}, got {value!r}")
-    if kind is str and choices is None and (value == "" or "\0" in value):
-        raise UsageError(f"{source} must be a non-empty path with no NUL byte, got {value!r}")
+    if kind is str and choices is None:
+        if value == "" or "\0" in value:
+            raise UsageError(f"{source} must be a non-empty path with no NUL byte, got {value!r}")
+        try:
+            os.fsencode(value)
+        except UnicodeEncodeError:  # a lone surrogate
+            raise UsageError(f"{source} must be a path the file system can encode, "
+                             f"got {value!r}")
     return value
 
 
@@ -172,10 +180,14 @@ def _strict_object(pairs: list) -> dict:
 def load_config(path: str) -> dict:
     """Read a flat JSON object of scalar settings, rejecting unknown keys."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-        doc = json.loads(text, parse_constant=_Token, object_pairs_hook=_strict_object)
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise UsageError(f"config {path} cannot be read: {exc}")
+    except ValueError as exc:  # a NUL byte or a lone surrogate, shown escaped
+        raise UsageError(f"config {path!r} cannot be read: {exc}")
+    try:
+        doc = json.loads(data.decode("utf-8"), parse_constant=_Token,
+                         object_pairs_hook=_strict_object)
     except (ValueError, RecursionError) as exc:  # also non-UTF-8, deep nesting, 4301+ digits
         raise UsageError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):

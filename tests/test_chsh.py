@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import bellwigner.chsh as chsh
 from bellwigner.chsh import (
     SETTING_PAIRS,
     ChshReport,
@@ -22,8 +23,9 @@ from bellwigner.chsh import (
     sample_products,
     sample_setting_products,
 )
-from bellwigner.interpretations import Branch
-from bellwigner.observables import alice_observable, bob_observable
+from bellwigner.interpretations import Branch, _friend_branches
+from bellwigner.linalg import expectation
+from bellwigner.observables import alice_observable, bob_observable, lifted_spectrum
 from bellwigner.states import FULL_LAYOUT, StateVector, bell_wigner_state
 from oracle import ket
 
@@ -111,7 +113,10 @@ PERMUTED = StateVector(("friend_a", "photon_a", "friend_b", "photon_b"),
     lambda state: joint_distribution(state, 1, 1),
     lambda state: chsh_exact([Branch(0.5, bell_wigner_state(), "kept"),
                               Branch(0.5, state, "permuted")]),
-], ids=["exact", "sampled", "joint", "ensemble"])
+    # the layout is checked before the setting
+    lambda state: joint_distribution(state, 2, 0),
+    lambda state: sample_setting_products(state, 0, 2, 10, 1),
+], ids=["exact", "sampled", "joint", "ensemble", "joint_bad_setting", "sample_bad_setting"])
 def test_engine_rejects_a_permuted_layout(run):
     with pytest.raises(ValueError, match=re.escape(str(FULL_LAYOUT))):
         run(PERMUTED)
@@ -294,3 +299,77 @@ def test_sample_variance_from_counts_does_not_cancel():
     assert mean == pytest.approx(1 - 2 * rare / shots, rel=0.0, abs=1e-15)
     exact = Fraction(4 * rare * (shots - rare), shots * (shots - 1))
     assert abs(variance / exact - 1) <= 1e-9
+
+
+def expectation_table(state, i, j):
+    """Setting (i, j)'s joint probabilities, one ``linalg.expectation`` of Pa@Pb per cell."""
+    return [expectation(state.amplitudes, pa @ pb)
+            for _, pa in lifted_spectrum(alice_observable(i))
+            for _, pb in lifted_spectrum(bob_observable(j))]
+
+
+def test_tables_equal_the_per_cell_expectation_route_bit_for_bit():
+    rng = np.random.default_rng(41)
+    states = [bell_wigner_state()] + [random_full_state(rng) for _ in range(20)]
+    ensemble = _friend_branches(states[1])
+    assert len(ensemble) == 4
+    for source in states + [ensemble]:
+        branches = [Branch(1.0, source, "")] if isinstance(source, StateVector) else source
+        for i, j in SETTING_PAIRS:
+            for branch in branches:
+                table = [cell.joint_probability for cell in joint_distribution(branch.state, i, j)]
+                assert [p.hex() for p in table] == [
+                    p.hex() for p in expectation_table(branch.state, i, j)]
+            # the engine's Born sum: weighted tables added from the first term
+            terms = [branch.weight * np.array(expectation_table(branch.state, i, j))
+                     for branch in branches]
+            mixture = sum(terms[1:], terms[0])
+            products = [a * b for a, _ in lifted_spectrum(alice_observable(i))
+                        for b, _ in lifted_spectrum(bob_observable(j))]
+            expected = sample_products(mixture, products, 1000, (9, i, j))
+            sampled = sample_setting_products(source, i, j, 1000, 9)
+            assert [v.hex() for v in sampled] == [v.hex() for v in expected]
+
+
+@pytest.mark.parametrize("pair", SETTING_PAIRS)
+def test_cached_outcome_cells_are_read_only(pair):
+    for *_, cell in chsh._outcome_cells(*pair):
+        assert not cell.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cell[0, 0] = 1.0
+
+
+OFF_DIAGONAL = np.zeros((16, 16), dtype=complex)
+OFF_DIAGONAL[0, 1] = 0.5
+
+# Alice's lifted spectrum edited so that exactly one build-time check fails
+BROKEN_SPECTRA = {
+    # the cells still sum to the identity, but two are not Hermitian
+    "not Hermitian": lambda s: (
+        (s[0][0], s[0][1] + OFF_DIAGONAL), (s[1][0], s[1][1] - OFF_DIAGONAL), *s[2:]),
+    "matrix entries must be finite": lambda s: ((s[0][0], np.full((16, 16), np.nan)), *s[1:]),
+    # Hermitian cells that miss half of one projector
+    "sum to the identity": lambda s: ((s[0][0], 0.5 * s[0][1]), *s[1:]),
+}
+
+
+@pytest.fixture
+def fresh_cells():
+    """An empty cell cache, emptied again after the test."""
+    chsh._outcome_cells.cache_clear()
+    yield
+    chsh._outcome_cells.cache_clear()
+
+
+@pytest.mark.parametrize("message", BROKEN_SPECTRA)
+def test_outcome_cells_are_checked_when_built(monkeypatch, fresh_cells, message):
+    original = chsh.lifted_spectrum
+    edit = BROKEN_SPECTRA[message]
+    monkeypatch.setattr(chsh, "lifted_spectrum", lambda obs: (
+        edit(original(obs)) if obs.side == "alice" else original(obs)))
+    for pair in SETTING_PAIRS:
+        with pytest.raises(ValueError, match=message):
+            chsh._outcome_cells(*pair)
+        with pytest.raises(ValueError, match=message):
+            joint_distribution(bell_wigner_state(), *pair)
+    assert chsh._outcome_cells.cache_info().currsize == 0

@@ -418,6 +418,13 @@ USAGE_ERRORS = {
     "nul_out_config": (["classical-bound"], '{"out": "a\\u0000b"}', None, 2,
                        "error: config key 'out' must be a non-empty path with no NUL byte, "
                        "got 'a\\x00b'"),
+    # nor a lone surrogate, which the file system cannot encode
+    "surrogate_out_flag": (["classical-bound", "--out", "\ud800"], None, None, 2,
+                           "bellwigner classical-bound: error: argument --out: "
+                           "out must be a path the file system can encode, got '\\ud800'"),
+    "surrogate_out_config": (["classical-bound"], '{"out": "\\ud800"}', None, 2,
+                             "error: config key 'out' must be a path the file system can "
+                             "encode, got '\\ud800'"),
     # flags are never abbreviated: a prefix is an unknown argument
     "flag_prefix": (["chsh-sample", "--sh", "5"], None, None, 2,
                     "bellwigner: error: unrecognized arguments: --sh 5"),
@@ -437,6 +444,8 @@ USAGE_ERRORS = {
     "missing_config": (["chsh-exact", "--config", "{dir}/missing.json"], None, None, 2,
                        "error: config {dir}/missing.json cannot be read: [Errno 2] "
                        "No such file or directory: '{dir}/missing.json'"),
+    "nul_config_path": (["classical-bound", "--config", "a\0b"], None, None, 2,
+                        "error: config 'a\\x00b' cannot be read: embedded null byte"),
     "deep_nesting": (["chsh-exact"], DEEP_CONFIG, None, 2,
                      CONFIG + " is not valid JSON: " + _error_text(json.loads, DEEP_CONFIG)),
     "long_integer": (["chsh-exact"], LONG_INT_CONFIG, None, 2,
@@ -486,6 +495,16 @@ def test_nul_out_is_one_error_line(capsys, tmp_path):
         status, out, err = run_cli(capsys, "classical-bound", *argv)
         assert (status, out) == (2, "")
         assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:]
+
+
+def test_unusable_paths_are_one_escaped_error_line(capsys, tmp_path):
+    config = tmp_path / "surrogate.json"
+    config.write_text('{"out": "\\ud800"}')
+    for argv in (["--out", "\ud800"], ["--config", str(config)], ["--config", "a\0b"]):
+        status, out, err = run_cli(capsys, "classical-bound", *argv)
+        assert (status, out) == (2, "")
+        assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:]
+        assert err.isascii() and "\0" not in err
 
 
 # (argv, exact stderr line) of runs that exit 2 in both JSON and CSV

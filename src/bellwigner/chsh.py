@@ -14,9 +14,9 @@ such as the friends in the photon slots. An ensemble's correlators and
 outcome tables are the Born-weighted averages of its branches'.
 
 The outcome cells of a setting pair, the products Pa@Pb of lifted spectral
-projectors, are checked once, when they are built and cached: each is finite
-and Hermitian, and a setting's cells sum to the identity. They are then
-read-only, so a joint table computes <psi|cell|psi> with no check per cell.
+projectors, are checked once and cached as one read-only stack: each is finite
+and Hermitian, and they sum to the identity. A joint table is one stacked
+product; the Hermitian check bounds its imaginary residue, so none is checked.
 
 Sampling draws the outcome-cell counts of each setting pair (i, j) at once,
 so time and memory do not grow with the shot count, from a generator seeded
@@ -142,26 +142,41 @@ def _lifted_products() -> dict[tuple[int, int], np.ndarray]:
 
 
 @functools.cache
-def _outcome_cells(i: int, j: int) -> tuple[tuple[float, float, np.ndarray], ...]:
-    """(a_value, b_value, Pa@Pb) for every outcome cell of setting (i, j).
+def _outcome_cells(i: int, j: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Setting (i, j)'s cells in one order: (a_value, b_value) pairs, the read-only
+    (K, 16, 16) stack of products Pa@Pb and the read-only outcome products a*b.
 
-    Each cell is checked here, finite and Hermitian, and made read-only; the
-    cells must sum to the identity. Raises ValueError otherwise.
+    Each cell must be finite and Hermitian, and the cells must sum to the
+    identity; raises ValueError otherwise, and nothing is cached.
     """
-    cells = []
+    outcomes, cells = [], []
     for a_value, pa in lifted_spectrum(alice_observable(i)):
         for b_value, pb in lifted_spectrum(bob_observable(j)):
             cell = pa @ pb
             if not is_hermitian(cell):
                 raise ValueError(f"outcome cell ({a_value}, {b_value}) of setting ({i}, {j}) "
                                  "is not Hermitian")
-            cell.setflags(write=False)
-            cells.append((a_value, b_value, cell))
-    residual = frobenius_norm(sum(cell for *_, cell in cells) - np.eye(16))
+            outcomes.append((a_value, b_value))
+            cells.append(cell)
+    stack = np.array(cells)
+    residual = frobenius_norm(stack.sum(axis=0) - np.eye(16))
     if residual > DEFAULT_TOL:
         raise ValueError(f"outcome cells of setting ({i}, {j}) sum to the identity "
                          f"only within {residual:.3e}")
-    return tuple(cells)
+    products = np.array([a_value * b_value for a_value, b_value in outcomes])
+    for array in (stack, products):
+        array.setflags(write=False)
+    return tuple(outcomes), stack, products
+
+
+def _table(state: StateVector, i: int, j: int) -> np.ndarray:
+    """<psi|cell|psi> for each cell of setting (i, j): one stacked product, whose
+    per-cell kernel is ``cell @ psi``'s, so the bits are ``expectation``'s. Only
+    the real part is kept: each cell C passed ||C - C^H||_F <= 1e-12, so for a unit
+    psi |Im <psi|C|psi>| <= 0.5e-12, below the package tolerance."""
+    psi = _require_full_state(state)
+    _, stack, _ = _outcome_cells(check_setting(i), check_setting(j))
+    return np.array([np.vdot(psi, row).real for row in stack @ psi])
 
 
 def chsh_exact(state: StateVector | Sequence) -> ChshReport:
@@ -174,20 +189,9 @@ def chsh_exact(state: StateVector | Sequence) -> ChshReport:
 
 
 def joint_distribution(state: StateVector, i: int, j: int) -> list[JointOutcome]:
-    """Full joint outcome table for setting pair (i, j), zero cells included.
-
-    Each probability is <psi|cell|psi>, the arithmetic of ``expectation``
-    without its operator check, which the cached cells passed when they
-    were built. Each imaginary residue must be at most 1e-12.
-    """
-    psi = _require_full_state(state)
-    cells = _outcome_cells(check_setting(i), check_setting(j))
-    values = [np.vdot(psi, cell @ psi) for *_, cell in cells]
-    residue = max(abs(value.imag) for value in values)
-    if residue > DEFAULT_TOL:
-        raise ValueError(f"imaginary residue {residue:.3e} exceeds tolerance")
-    return [JointOutcome(a_value, b_value, float(value.real))
-            for (a_value, b_value, _), value in zip(cells, values)]
+    """Full joint outcome table for setting pair (i, j), zero cells included."""
+    table = _table(state, i, j).tolist()
+    return [JointOutcome(*outcome, p) for outcome, p in zip(_outcome_cells(i, j)[0], table)]
 
 
 def sample_products(
@@ -219,10 +223,8 @@ def sample_setting_products(
 ) -> tuple[float, float]:
     """Mean and ddof=1 variance of the products a*b of `shots` joint outcomes of setting
     (i, j), drawn from the mixture table of an ensemble: its branches' Born-weighted tables."""
-    mixture = _born_sum(state, lambda branch: np.array(
-        [cell.joint_probability for cell in joint_distribution(branch, i, j)]))
-    products = np.array([a_value * b_value for a_value, b_value, _ in _outcome_cells(i, j)])
-    return sample_products(mixture, products, shots, (seed, i, j))
+    mixture = _born_sum(state, lambda branch: _table(branch, i, j))
+    return sample_products(mixture, _outcome_cells(i, j)[2], shots, (seed, i, j))
 
 
 def report_from_setting_products(

@@ -181,17 +181,15 @@ def load_config(path: str) -> dict:
     """Read a flat JSON object of scalar settings, rejecting unknown keys."""
     try:
         data = Path(path).read_bytes()
-    except OSError as exc:
-        raise UsageError(f"config {path} cannot be read: {exc}")
-    except ValueError as exc:  # a NUL byte or a lone surrogate, shown escaped
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte or a lone surrogate
         raise UsageError(f"config {path!r} cannot be read: {exc}")
     try:
         doc = json.loads(data.decode("utf-8"), parse_constant=_Token,
                          object_pairs_hook=_strict_object)
     except (ValueError, RecursionError) as exc:  # also non-UTF-8, deep nesting, 4301+ digits
-        raise UsageError(f"config {path} is not valid JSON: {exc}")
+        raise UsageError(f"config {path!r} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
-        raise UsageError(f"config {path} must be a JSON object")
+        raise UsageError(f"config {path!r} must be a JSON object")
     out: dict = {}
     for key, value in doc.items():
         if key not in _SETTINGS:
@@ -400,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             Path(cfg["out"]).write_text(text)
         except OSError as exc:
-            print(f"error: cannot write {cfg['out']}: {exc}", file=sys.stderr)
+            print(f"error: cannot write {cfg['out']!r}: {exc}", file=sys.stderr)
             return 1
     else:
         sys.stdout.write(text)

@@ -7,8 +7,8 @@ package's one tolerance; only the branch-weight floor, the projector-rank
 tolerance and the GRW rate floor differ from it. All functions are pure;
 nothing here mutates its arguments. A state is checked once, when its
 ``StateVector`` is built; ``expectation`` trusts it and checks the operator.
-It serves ``chsh_exact``'s four products; the CHSH engine's outcome cells are
-checked once, when they are built, and their tables skip ``expectation``.
+It serves ``chsh_exact``'s four products. A joint table is one stacked product
+of cells checked when built, whose Hermitian check bounds its imaginary residue.
 """
 
 from __future__ import annotations

@@ -333,10 +333,11 @@ def test_tables_equal_the_per_cell_expectation_route_bit_for_bit():
 
 @pytest.mark.parametrize("pair", SETTING_PAIRS)
 def test_cached_outcome_cells_are_read_only(pair):
-    for *_, cell in chsh._outcome_cells(*pair):
-        assert not cell.flags.writeable
+    _, stack, products = chsh._outcome_cells(*pair)
+    for array in (stack, *stack, products):
+        assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            cell[0, 0] = 1.0
+            array[0] = 1.0
 
 
 OFF_DIAGONAL = np.zeros((16, 16), dtype=complex)

@@ -370,7 +370,7 @@ def _error_text(call, *args) -> str:
 DEEP_CONFIG = "[" * 200_000
 LONG_INT_CONFIG = '{"seed": ' + "1" * 5000 + "}"
 HUGE_FLOAT_CONFIG = '{"n": 1' + "0" * 400 + "}"
-CONFIG = "error: config {dir}/config.json"
+CONFIG = "error: config '{dir}/config.json'"
 
 # (argv, config file text or bytes or None, BELLWIGNER_SEED or None, exit
 # status, exact last stderr line); "{dir}" stands for a per-test temporary
@@ -403,8 +403,12 @@ USAGE_ERRORS = {
     "micro_too_big": (["agreement", "--scale", "micro", "--n", "1e25"], None, None, 2,
                       "error: microscopic friend cannot have 1e+25 particles (> 1000000.0)"),
     "unwritable_out": (["chsh-exact", "--out", "{dir}/missing/x.json"], None, None, 1,
-                       "error: cannot write {dir}/missing/x.json: [Errno 2] "
+                       "error: cannot write '{dir}/missing/x.json': [Errno 2] "
                        "No such file or directory: '{dir}/missing/x.json'"),
+    # a path is quoted as repr writes it, so a newline in it stays on one line
+    "newline_out_dir": (["chsh-exact", "--out", "{dir}/no\nsuch/x.json"], None, None, 1,
+                        "error: cannot write '{dir}/no\\nsuch/x.json': [Errno 2] "
+                        "No such file or directory: '{dir}/no\\nsuch/x.json'"),
     # a path is non-empty with no NUL byte; argv cannot carry a NUL, main can
     "empty_out_flag": (["classical-bound", "--out", ""], None, None, 2,
                        "bellwigner classical-bound: error: argument --out: "
@@ -442,8 +446,11 @@ USAGE_ERRORS = {
                      CONFIG + " is not valid JSON: key 'seed' is given twice"),
     # every read or parse failure is one line that names the file
     "missing_config": (["chsh-exact", "--config", "{dir}/missing.json"], None, None, 2,
-                       "error: config {dir}/missing.json cannot be read: [Errno 2] "
+                       "error: config '{dir}/missing.json' cannot be read: [Errno 2] "
                        "No such file or directory: '{dir}/missing.json'"),
+    "newline_config_path": (["classical-bound", "--config", "{dir}/no\nsuch.json"], None, None, 2,
+                            "error: config '{dir}/no\\nsuch.json' cannot be read: [Errno 2] "
+                            "No such file or directory: '{dir}/no\\nsuch.json'"),
     "nul_config_path": (["classical-bound", "--config", "a\0b"], None, None, 2,
                         "error: config 'a\\x00b' cannot be read: embedded null byte"),
     "deep_nesting": (["chsh-exact"], DEEP_CONFIG, None, 2,
@@ -500,7 +507,8 @@ def test_nul_out_is_one_error_line(capsys, tmp_path):
 def test_unusable_paths_are_one_escaped_error_line(capsys, tmp_path):
     config = tmp_path / "surrogate.json"
     config.write_text('{"out": "\\ud800"}')
-    for argv in (["--out", "\ud800"], ["--config", str(config)], ["--config", "a\0b"]):
+    for argv in (["--out", "\ud800"], ["--config", str(config)], ["--config", "a\0b"],
+                 ["--config", str(tmp_path / "no\nsuch.json")]):
         status, out, err = run_cli(capsys, "classical-bound", *argv)
         assert (status, out) == (2, "")
         assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:]

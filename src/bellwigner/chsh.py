@@ -14,9 +14,14 @@ such as the friends in the photon slots. An ensemble's correlators and
 outcome tables are the Born-weighted averages of its branches'.
 
 The outcome cells of a setting pair, the products Pa@Pb of lifted spectral
-projectors, are checked once and cached as one read-only stack: each is finite
-and Hermitian, and they sum to the identity. A joint table is one stacked
-product; the Hermitian check bounds its imaginary residue, so none is checked.
+projectors, are checked once and cached as one read-only real (K, 256) stack:
+each is finite, Hermitian and real, and they sum to the identity. For a real
+symmetric cell C, <psi|C|psi> = sum(C * G) over the 256 entries of the state's
+G = Re(psi psi^H) = x x^T + y y^T (x, y = Re psi, Im psi), and an ensemble's G
+is the Born-weighted sum of its branches'. A joint table is that sum for every
+cell at once: float64 products and sums, with no BLAS call and no fused
+multiply-add, so joint tables and sampled outputs have the same bits on every
+CPU. Exact correlators still take ``linalg.expectation``'s BLAS route.
 
 Sampling draws the outcome-cell counts of each setting pair (i, j) at once,
 so time and memory do not grow with the shot count, from a generator seeded
@@ -144,10 +149,12 @@ def _lifted_products() -> dict[tuple[int, int], np.ndarray]:
 @functools.cache
 def _outcome_cells(i: int, j: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     """Setting (i, j)'s cells in one order: (a_value, b_value) pairs, the read-only
-    (K, 16, 16) stack of products Pa@Pb and the read-only outcome products a*b.
+    real (K, 256) stack of the products Pa@Pb, each flattened, and the read-only
+    outcome products a*b.
 
-    Each cell must be finite and Hermitian, and the cells must sum to the
-    identity; raises ValueError otherwise, and nothing is cached.
+    Each cell must be finite, Hermitian and real (imaginary part exactly 0), and
+    the cells must sum to the identity; raises ValueError otherwise, and nothing
+    is cached.
     """
     outcomes, cells = [], []
     for a_value, pa in lifted_spectrum(alice_observable(i)):
@@ -156,10 +163,13 @@ def _outcome_cells(i: int, j: int) -> tuple[tuple, np.ndarray, np.ndarray]:
             if not is_hermitian(cell):
                 raise ValueError(f"outcome cell ({a_value}, {b_value}) of setting ({i}, {j}) "
                                  "is not Hermitian")
+            if cell.imag.any():
+                raise ValueError(f"outcome cell ({a_value}, {b_value}) of setting ({i}, {j}) "
+                                 "is not real")
             outcomes.append((a_value, b_value))
-            cells.append(cell)
+            cells.append(cell.real.reshape(256))
     stack = np.array(cells)
-    residual = frobenius_norm(stack.sum(axis=0) - np.eye(16))
+    residual = frobenius_norm(stack.sum(axis=0).reshape(16, 16) - np.eye(16))
     if residual > DEFAULT_TOL:
         raise ValueError(f"outcome cells of setting ({i}, {j}) sum to the identity "
                          f"only within {residual:.3e}")
@@ -169,14 +179,19 @@ def _outcome_cells(i: int, j: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     return tuple(outcomes), stack, products
 
 
-def _table(state: StateVector, i: int, j: int) -> np.ndarray:
-    """<psi|cell|psi> for each cell of setting (i, j): one stacked product, whose
-    per-cell kernel is ``cell @ psi``'s, so the bits are ``expectation``'s. Only
-    the real part is kept: each cell C passed ||C - C^H||_F <= 1e-12, so for a unit
-    psi |Im <psi|C|psi>| <= 0.5e-12, below the package tolerance."""
+def _gram(state: StateVector) -> np.ndarray:
+    """G = x x^T + y y^T of a state (x, y = Re psi, Im psi), flattened to 256 entries."""
     psi = _require_full_state(state)
+    x, y = psi.real, psi.imag
+    return (x[:, None] * x + y[:, None] * y).reshape(256)
+
+
+def _table(gram: np.ndarray, i: int, j: int) -> np.ndarray:
+    """sum(C * G) for each cell C of setting (i, j): the joint probabilities of the
+    state or ensemble whose G is ``gram``. Not ``stack @ gram``, a BLAS dgemv whose
+    summation order and fused multiply-adds depend on the CPU."""
     _, stack, _ = _outcome_cells(check_setting(i), check_setting(j))
-    return np.array([np.vdot(psi, row).real for row in stack @ psi])
+    return (stack * gram).sum(axis=1)
 
 
 def chsh_exact(state: StateVector | Sequence) -> ChshReport:
@@ -190,7 +205,7 @@ def chsh_exact(state: StateVector | Sequence) -> ChshReport:
 
 def joint_distribution(state: StateVector, i: int, j: int) -> list[JointOutcome]:
     """Full joint outcome table for setting pair (i, j), zero cells included."""
-    table = _table(state, i, j).tolist()
+    table = _table(_gram(state), i, j).tolist()
     return [JointOutcome(*outcome, p) for outcome, p in zip(_outcome_cells(i, j)[0], table)]
 
 
@@ -213,18 +228,24 @@ def sample_products(
         raise ValueError("outcome probabilities sum to zero")
     counts = np.random.default_rng(stream_key).multinomial(shots, probs / total)
     values = np.asarray(products, dtype=float)
-    mean = float(counts @ values) / shots
+    # elementwise products and a sum: a BLAS dot's order depends on the CPU
+    mean = float((counts * values).sum()) / shots
     # sum n (x - m)^2 rather than sum n x^2 - N m^2, which cancels
-    return mean, float(counts @ (values - mean) ** 2) / (shots - 1)
+    return mean, float((counts * (values - mean) ** 2).sum()) / (shots - 1)
+
+
+def _setting_products(gram: np.ndarray, i: int, j: int, shots: int, seed: int
+                      ) -> tuple[float, float]:
+    table = _table(gram, i, j)
+    return sample_products(table, _outcome_cells(i, j)[2], shots, (seed, i, j))
 
 
 def sample_setting_products(
     state: StateVector | Sequence, i: int, j: int, shots: int, seed: int
 ) -> tuple[float, float]:
     """Mean and ddof=1 variance of the products a*b of `shots` joint outcomes of setting
-    (i, j), drawn from the mixture table of an ensemble: its branches' Born-weighted tables."""
-    mixture = _born_sum(state, lambda branch: _table(branch, i, j))
-    return sample_products(mixture, _outcome_cells(i, j)[2], shots, (seed, i, j))
+    (i, j), drawn from the mixture table of an ensemble: the table of its Born-weighted G."""
+    return _setting_products(_born_sum(state, _gram), i, j, shots, seed)
 
 
 def report_from_setting_products(
@@ -254,9 +275,9 @@ def chsh_sampled(state: StateVector | Sequence, shots_per_setting: int, seed: in
         raise ValueError("shots_per_setting must be at least 2 (sample variance)")
     if shots_per_setting > 2 ** 63 - 1:  # outcome counts are int64
         raise ValueError(f"shots {shots_per_setting} exceeds the bound of 2**63 - 1 per setting")
+    gram = _born_sum(state, _gram)
     setting_stats = {
-        (i, j): sample_setting_products(state, i, j, shots_per_setting, seed)
-        for i, j in SETTING_PAIRS
+        (i, j): _setting_products(gram, i, j, shots_per_setting, seed) for i, j in SETTING_PAIRS
     }
     return report_from_setting_products(setting_stats, shots_per_setting)
 

@@ -176,14 +176,17 @@ def _friend_branches(state: StateVector) -> list[Branch]:
     # the big-endian layout of ``states`` makes axis k of the reshaped vector
     # subsystem k, so fixing every friend axis selects one record's block
     amps = state.amplitudes.reshape((2,) * len(state.subsystems))
+    # the same amplitudes as (re, im) pairs on one more axis, for the weights
+    parts = amps[..., None].view(float)
     axes = [(0, 1) if k in friends else (slice(None),) for k in range(amps.ndim)]
     branches = []
     for where in itertools.product(*axes):
-        component = np.zeros(amps.shape, dtype=complex)
-        component[where] = amps[where]
-        weight = float(np.vdot(component, component).real)
+        # squares and a sum over the record's block: a BLAS vdot's order depends on the CPU
+        weight = float((parts[where] ** 2).sum())
         if weight <= BRANCH_WEIGHT_FLOOR:
             continue
+        component = np.zeros(amps.shape, dtype=complex)
+        component[where] = amps[where]
         branch = StateVector(state.subsystems, component.reshape(-1) / math.sqrt(weight))
         label = "·".join(FRIEND_LABELS[where[k]] for k in friends)
         branches.append(Branch(weight, branch, label))

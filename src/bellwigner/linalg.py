@@ -7,8 +7,12 @@ package's one tolerance; only the branch-weight floor, the projector-rank
 tolerance and the GRW rate floor differ from it. All functions are pure;
 nothing here mutates its arguments. A state is checked once, when its
 ``StateVector`` is built; ``expectation`` trusts it and checks the operator.
-It serves ``chsh_exact``'s four products. A joint table is one stacked product
-of cells checked when built, whose Hermitian check bounds its imaginary residue.
+It serves ``chsh_exact``'s four products, whose BLAS calls (zgemv, zdotc) may
+round differently from one CPU to another. ``commutator_norm``'s two matrix
+products make no BLAS call and no fused multiply-add: they are float64
+products and sums of real and imaginary parts, so they have the same bits on
+every CPU. Joint tables are not built here: ``chsh`` reduces them from real
+cell stacks.
 """
 
 from __future__ import annotations
@@ -67,14 +71,30 @@ def expectation(psi, m) -> float:
     return float(value.real)
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b from float64 products and sums of the real and imaginary parts.
+
+    Not ``a @ b``: BLAS zgemm, and numpy's SIMD complex multiply too, may fuse a
+    multiply-add or reorder a sum depending on the CPU.
+    """
+    ar, ai = a.real[:, :, None], a.imag[:, :, None]
+    br, bi = b.real, b.imag
+    out = np.empty(a.shape, dtype=complex)
+    out.real = (ar * br - ai * bi).sum(axis=1)
+    out.imag = (ar * bi + ai * br).sum(axis=1)
+    return out
+
+
 def commutator_norm(m, n) -> float:
     """Frobenius norm of m@n - n@m.
 
-    For operators lifted from disjoint tensor factors the products are
-    bitwise equal, so the result is exactly 0.0, not merely small.
+    For operators lifted from disjoint tensor factors each entry of either
+    product is one product of a factor entry per side, and float64 products
+    and sums commute, so the products are bitwise equal and the result is
+    exactly 0.0, not merely small, on every CPU.
     """
     a = as_matrix(m)
     b = as_matrix(n)
     if a.shape[0] != a.shape[1] or a.shape != b.shape:
         raise ValueError(f"commutator needs equal square matrices, got {a.shape} and {b.shape}")
-    return frobenius_norm(a @ b - b @ a)
+    return frobenius_norm(_product(a, b) - _product(b, a))

@@ -209,7 +209,7 @@ def load_config(path: str) -> dict:
 def _resolve(args: argparse.Namespace) -> dict:
     """Settings under their flag names, plus the rest of the parsed namespace
     (``subcommand``, ``config`` and the arguments ``_command`` declared for the
-    subcommand) and ``explicit``, the keys given by flag or config file."""
+    subcommand)."""
     cfg = {key: default for key, (_, _, default) in _SETTINGS.items()}
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
@@ -218,7 +218,6 @@ def _resolve(args: argparse.Namespace) -> dict:
     given.update((key, getattr(args, key)) for key in _SETTINGS if getattr(args, key) is not None)
     cfg.update(given)
     cfg.update((key, value) for key, value in vars(args).items() if key not in _SETTINGS)
-    cfg["explicit"] = frozenset(given)
     return cfg
 
 
@@ -226,7 +225,7 @@ def _grw_params(cfg: dict) -> GrwParams:
     """The ``--scale`` preset, with any n, t or rate that a flag or the config gave."""
     preset = ATOM_PARAMS if cfg["scale"] == MICROSCOPIC else INSTRUMENT_PARAMS
     fields = {"n": "n_particles", "t": "duration_s", "rate": "rate_per_particle"}
-    given = {field: cfg[key] for key, field in fields.items() if key in cfg["explicit"]}
+    given = {field: cfg[key] for key, field in fields.items() if cfg[key] is not None}
     return dataclasses.replace(preset, **given)
 
 

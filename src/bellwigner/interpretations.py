@@ -22,7 +22,6 @@ its statistics over the branches.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -244,17 +243,12 @@ def _collapse_likely(scale: FriendScale) -> bool:
     return grw_exact_probability(scale.grw) >= 0.5
 
 
-def _ensemble(dephases, state: StateVector, scale: FriendScale) -> list[Branch]:
-    """The friend-record branches if the rule ``dephases(scale)`` holds, else the state."""
-    if dephases(scale):
-        return _friend_branches(state)
-    return [Branch(1.0, state, "unitary")]
-
-
+# Each backend's dephasing rule; bench/spans.py wraps these entries as the
+# interpretations.ensemble layer and tests/test_bench_sites.py looks them up.
 _ENSEMBLE_BUILDERS = {
-    "pilot_wave": functools.partial(_ensemble, _friends_macroscopic),
-    "grw": functools.partial(_ensemble, _collapse_likely),
-    "many_worlds": functools.partial(_ensemble, _friends_macroscopic),
+    "pilot_wave": _friends_macroscopic,
+    "grw": _collapse_likely,
+    "many_worlds": _friends_macroscopic,
 }
 
 
@@ -289,21 +283,22 @@ def agreement_report(
     default; ``sampled=True`` swaps in seeded Monte Carlo reports drawn from
     each backend's ensemble on shared per-setting streams.
 
-    The engine runs once per distinct ensemble, keyed by each branch's weight,
-    layout and amplitude bytes; backends with equal ensembles share one
-    report, the one each would have computed on its own.
+    Backends differ only in whether their rule dephases the friends at
+    ``scale``. The engine runs once per decision, on the friend-record
+    branches if the rule holds and on the bare state otherwise, so the
+    branches are built at most once per call; backends with the same
+    decision share one report, the one each would have computed on its own.
     """
     state = bell_wigner_state()
     reports: dict[str, ChshReport] = {}
-    computed: dict[tuple, ChshReport] = {}
-    for name, build in _ENSEMBLE_BUILDERS.items():
-        ensemble = build(state, scale)
-        key = tuple((b.weight, b.state.subsystems, b.state.amplitudes.tobytes())
-                    for b in ensemble)
-        if key not in computed:
-            computed[key] = (chsh_engine.chsh_sampled(ensemble, shots, seed) if sampled
-                             else chsh_engine.chsh_exact(ensemble))
-        reports[name] = computed[key]
+    computed: dict[bool, ChshReport] = {}
+    for name, dephases in _ENSEMBLE_BUILDERS.items():
+        decision = dephases(scale)
+        if decision not in computed:
+            ensemble = _friend_branches(state) if decision else state
+            computed[decision] = (chsh_engine.chsh_sampled(ensemble, shots, seed) if sampled
+                                  else chsh_engine.chsh_exact(ensemble))
+        reports[name] = computed[decision]
     s_values = [report.s_value for report in reports.values()]
     all_equal = max(s_values) - min(s_values) <= DEFAULT_TOL
     return AgreementReport(scale.kind, reports, all_equal)

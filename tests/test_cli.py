@@ -593,7 +593,6 @@ def test_settings_precedence_flag_config_env_default(tmp_path_factory, data):
     for key, (_, _, default) in cli._SETTINGS.items():
         fallback = env_seed if key == "seed" and env_seed is not None else default
         assert cfg[key] == flags.get(key, configured.get(key, fallback)), key
-    assert cfg["explicit"] == set(flags) | set(configured)
 
 
 # values every setting is given, besides its choices and a string that is none of them

@@ -277,13 +277,14 @@ def test_agreement_document_shape():
     assert doc["all_equal"] is True
 
 
-# (scale, distinct backend ensembles): at the presets all three backends agree;
-# a long micro run and a short macro run make GRW disagree with the other two
+# (scale, distinct backend decisions, branch builds): at the presets all three
+# backends agree; a long micro run and a short macro run make GRW disagree with
+# the other two. The friend-record branches are built at most once per call.
 AGREEMENT_SCALES = {
-    "micro": (FriendScale.microscopic(), 1),
-    "macro": (FriendScale.macroscopic(), 1),
-    "micro_long": (FriendScale("micro", GrwParams(1e6, 1e12)), 2),
-    "macro_short": (FriendScale("macro", GrwParams(1e25, 1e-12)), 2),
+    "micro": (FriendScale.microscopic(), 1, 0),
+    "macro": (FriendScale.macroscopic(), 1, 1),
+    "micro_long": (FriendScale("micro", GrwParams(1e6, 1e12)), 2, 1),
+    "macro_short": (FriendScale("macro", GrwParams(1e25, 1e-12)), 2, 1),
 }
 
 
@@ -292,7 +293,7 @@ AGREEMENT_SCALES = {
 def test_agreement_runs_the_engine_once_per_distinct_ensemble(monkeypatch, case, sampled):
     import bellwigner.interpretations as interp
 
-    scale, distinct = AGREEMENT_SCALES[case]
+    scale, distinct, builds = AGREEMENT_SCALES[case]
     engine = interp.chsh_engine
     exact, sampled_run = engine.chsh_exact, engine.chsh_sampled
     runs = []
@@ -305,13 +306,16 @@ def test_agreement_runs_the_engine_once_per_distinct_ensemble(monkeypatch, case,
 
     monkeypatch.setattr(engine, "chsh_exact", counted(exact))
     monkeypatch.setattr(engine, "chsh_sampled", counted(sampled_run))
+    monkeypatch.setattr(interp, "_friend_branches", counted(_friend_branches))
     report = agreement_report(scale, shots=1000, seed=11, sampled=sampled)
-    assert runs == ["chsh_sampled" if sampled else "chsh_exact"] * distinct
+    assert runs.count("chsh_sampled" if sampled else "chsh_exact") == distinct
+    assert runs.count("_friend_branches") == builds
+    assert len(runs) == distinct + builds
 
     # oracle: the engine run on every backend's ensemble in turn
     state = bell_wigner_state()
-    for name, build in _ENSEMBLE_BUILDERS.items():
-        ensemble = build(state, scale)
+    for name, rule in _ENSEMBLE_BUILDERS.items():
+        ensemble = _friend_branches(state) if rule(scale) else state
         expected = sampled_run(ensemble, 1000, 11) if sampled else exact(ensemble)
         assert repr(report.backends[name].to_dict()) == repr(expected.to_dict()), name
     assert report.all_equal == (distinct == 1)
@@ -351,12 +355,11 @@ def test_friend_branches_dephase_without_changing_friend_records(state):
 
     # setting (0, 0) reads both friends' records, which dephasing leaves alone
     own = [cell.joint_probability for cell in joint_distribution(state, 0, 0)]
-    for name, build in _ENSEMBLE_BUILDERS.items():
-        mixture = np.zeros(len(own))
-        for branch in build(state, FriendScale.macroscopic()):
-            table = joint_distribution(branch.state, 0, 0)
-            mixture += branch.weight * np.array([cell.joint_probability for cell in table])
-        assert np.allclose(mixture, own, rtol=0.0, atol=1e-12), name
+    mixture = np.zeros(len(own))
+    for branch in branches:
+        table = joint_distribution(branch.state, 0, 0)
+        mixture += branch.weight * np.array([cell.joint_probability for cell in table])
+    assert np.allclose(mixture, own, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n, duration, rate, product", [

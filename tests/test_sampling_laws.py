@@ -13,12 +13,11 @@ import pytest
 
 from bellwigner.chsh import SETTING_PAIRS, chsh_exact, chsh_sampled, joint_distribution
 from bellwigner.interpretations import (
-    _ENSEMBLE_BUILDERS,
     ATOM_PARAMS,
     INSTRUMENT_PARAMS,
     Branch,
-    FriendScale,
     GrwParams,
+    _friend_branches,
     agreement_report,
     grw_exact_probability,
     grw_simulate,
@@ -61,8 +60,7 @@ CHSH_SHOTS = 1000
 # even 80 z-scores put an SE off by 2x (log variance +-1.39) outside the gate (+-0.95)
 CHSH_CASES = {
     "bell_wigner": (bell_wigner_state(), range(160)),
-    "dephased": (_ENSEMBLE_BUILDERS["grw"](bell_wigner_state(), FriendScale.macroscopic()),
-                 range(80)),
+    "dephased": (_friend_branches(bell_wigner_state()), range(80)),
 }
 
 
@@ -101,7 +99,7 @@ def test_chsh_sampled_s_and_its_standard_error_follow_the_exact_law(case):
 
 @pytest.mark.parametrize("case", AGREEMENT_SCALES)
 def test_sampled_agreement_gives_each_backend_its_exact_s(case):
-    scale, _ = AGREEMENT_SCALES[case]
+    scale, _, _ = AGREEMENT_SCALES[case]
     exact = agreement_report(scale).backends
     for seed in range(2):
         sampled = agreement_report(scale, CHSH_SHOTS, seed, sampled=True).backends

@@ -20,8 +20,11 @@ symmetric cell C, <psi|C|psi> = sum(C * G) over the 256 entries of the state's
 G = Re(psi psi^H) = x x^T + y y^T (x, y = Re psi, Im psi), and an ensemble's G
 is the Born-weighted sum of its branches'. A joint table is that sum for every
 cell at once: float64 products and sums, with no BLAS call and no fused
-multiply-add, so joint tables and sampled outputs have the same bits on every
-CPU. Exact correlators still take ``linalg.expectation``'s BLAS route.
+multiply-add. An exact correlator is the sum of a table's cells times their
+outcome products a*b, so an ensemble's exact correlators are those of its
+Born-weighted G, the mixture the sampler draws from, and exact correlators,
+joint tables and sampled outputs have the same bits on every CPU. Nothing here
+calls ``linalg.expectation``, the tests' BLAS reference route.
 
 Sampling draws the outcome-cell counts of each setting pair (i, j) at once,
 so time and memory do not grow with the shot count, from a generator seeded
@@ -40,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# nothing here calls expectation or lift: bench/spans.py rebinds both names on this module
 from .linalg import DEFAULT_TOL, expectation, frobenius_norm, is_hermitian
 from .observables import alice_observable, bob_observable, check_setting, lift, lifted_spectrum
 from .states import FULL_LAYOUT, StateVector
@@ -139,14 +143,6 @@ def _born_sum(state: StateVector | Sequence, value):
 
 
 @functools.cache
-def _lifted_products() -> dict[tuple[int, int], np.ndarray]:
-    return {
-        (i, j): lift(alice_observable(i)) @ lift(bob_observable(j))
-        for i, j in SETTING_PAIRS
-    }
-
-
-@functools.cache
 def _outcome_cells(i: int, j: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     """Setting (i, j)'s cells in one order: (a_value, b_value) pairs, the read-only
     real (K, 256) stack of the products Pa@Pb, each flattened, and the read-only
@@ -195,11 +191,11 @@ def _table(gram: np.ndarray, i: int, j: int) -> np.ndarray:
 
 
 def chsh_exact(state: StateVector | Sequence) -> ChshReport:
-    """Exact quantum correlators and S value of a 16-dim state or an ensemble."""
-    products = _lifted_products()
-    totals = _born_sum(state, lambda branch: np.array([
-        expectation(_require_full_state(branch), products[pair]) for pair in SETTING_PAIRS]))
-    correlators = dict(zip(SETTING_PAIRS, totals.tolist()))
+    """Exact quantum correlators and S value of a 16-dim state or an ensemble: each
+    correlator is sum(a*b * P(a, b)) over the joint table of its Born-weighted G."""
+    gram = _born_sum(state, _gram)
+    correlators = {(i, j): float((_outcome_cells(i, j)[2] * _table(gram, i, j)).sum())
+                   for i, j in SETTING_PAIRS}
     return ChshReport("exact", correlators, s_from_correlators(correlators))
 
 

@@ -7,12 +7,13 @@ package's one tolerance; only the branch-weight floor, the projector-rank
 tolerance and the GRW rate floor differ from it. All functions are pure;
 nothing here mutates its arguments. A state is checked once, when its
 ``StateVector`` is built; ``expectation`` trusts it and checks the operator.
-It serves ``chsh_exact``'s four products, whose BLAS calls (zgemv, zdotc) may
-round differently from one CPU to another. ``commutator_norm``'s two matrix
+No package code calls ``expectation``: its BLAS calls (zgemv, zdotc) may round
+differently from one CPU to another, and it is the tests' reference route (the
+bench rebinds ``chsh.expectation``). ``commutator_norm``'s two matrix
 products make no BLAS call and no fused multiply-add: they are float64
 products and sums of real and imaginary parts, so they have the same bits on
-every CPU. Joint tables are not built here: ``chsh`` reduces them from real
-cell stacks.
+every CPU. Joint tables and exact correlators are not computed here: ``chsh``
+reduces them from real cell stacks.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ def expectation(psi, m) -> float:
     of a ``StateVector``, which checked both when it was built; it is not
     checked again here. Raises ValueError on dimension mismatch or a
     non-finite or non-Hermitian matrix. The imaginary residue of the
-    quadratic form is required to stay below 1e-12.
+    quadratic form is required to stay below 1e-12. No package code calls it:
+    it is the tests' BLAS reference route, and the bench rebinds ``chsh.expectation``.
     """
     a = as_matrix(m)
     dim = len(psi)

@@ -10,7 +10,6 @@ down in closed form, so no eigensolver is involved anywhere.
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -94,13 +93,12 @@ def _friend_readout(label: str) -> Observable:
 
 
 def _coherence_probe(label: str) -> Observable:
-    """Setting-1 observable built from (|h,F_v> +- |v,F_h>)/sqrt(2)."""
-    r = 1.0 / math.sqrt(2.0)
-    phi_plus = r * (_side_ket("h", "F_v") + _side_ket("v", "F_h"))
-    phi_minus = r * (_side_ket("h", "F_v") - _side_ket("v", "F_h"))
-    p_plus = np.outer(phi_plus, phi_plus.conj())
-    p_minus = np.outer(phi_minus, phi_minus.conj())
-    p_zero = _I4 - p_plus - p_minus
+    """Setting-1 observable built from (|h,F_v> +- |v,F_h>)/sqrt(2), every entry exactly
+    0, +-1/2 or 1: P+- = 1/2 (k1 +- k2)(k1 +- k2)^T and P0 = I - the correlated support."""
+    k1, k2 = _side_ket("h", "F_v"), _side_ket("v", "F_h")
+    p_plus = 0.5 * np.outer(k1 + k2, k1 + k2)
+    p_minus = 0.5 * np.outer(k1 - k2, k1 - k2)
+    p_zero = _I4 - _correlated_support()
     return Observable(
         label, p_plus - p_minus,
         ((+1.0, p_plus), (-1.0, p_minus), (0.0, p_zero)),

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from bellwigner.chsh import (
 )
 from bellwigner.interpretations import Branch, _friend_branches
 from bellwigner.linalg import expectation
-from bellwigner.observables import alice_observable, bob_observable, lifted_spectrum
+from bellwigner.observables import alice_observable, bob_observable, lift, lifted_spectrum
 from bellwigner.states import FULL_LAYOUT, StateVector, bell_wigner_state
 from oracle import ket
 
@@ -68,6 +69,29 @@ def test_exact_correlators_match_reduction_oracle():
         assert report.correlators[pair] == pytest.approx(value, abs=1e-9)
     assert report.s_value == pytest.approx(2 * math.sqrt(2), abs=1e-9)
     assert report.mode == "exact"
+
+
+def ulps_from(value, exact):
+    """|value - exact| in units of the float spacing at ``value``; ``exact`` is a Decimal."""
+    return abs(Decimal(value) - exact) / Decimal(math.ulp(value))
+
+
+def test_bell_wigner_outputs_lie_within_a_few_ulps_of_their_closed_forms():
+    # 1/sqrt(2) to 28 digits: 1/math.sqrt(2) rounds to the float below the nearest one
+    half = Decimal(2).sqrt() / 2
+    signs = {(1, 1): 1, (1, 0): 1, (0, 1): 1, (0, 0): -1}
+    state = bell_wigner_state()
+    report = chsh_exact(state)
+    for pair, sign in signs.items():
+        assert ulps_from(report.correlators[pair], sign * half) <= 3
+        for cell in joint_distribution(state, *pair):
+            if cell.a_value == 0.0 or cell.b_value == 0.0:
+                # the state lies on each side's correlated support
+                assert cell.joint_probability == 0.0
+            else:
+                closed = (1 + int(cell.a_value * cell.b_value) * sign * half) / 4
+                assert ulps_from(cell.joint_probability, closed) <= 4
+    assert ulps_from(report.s_value, 4 * half) <= 3
 
 
 def test_exact_on_product_state():
@@ -326,6 +350,11 @@ def test_tables_are_within_1e_15_of_the_per_cell_expectation_route():
                         for branch in branches)
             mixture = chsh._table(chsh._born_sum(source, chsh._gram), i, j)
             assert np.abs(mixture - route).max() <= 1e-15
+            # the exact correlator against the Born-weighted BLAS route
+            reference = sum(branch.weight * expectation(
+                branch.state.amplitudes, lift(alice_observable(i)) @ lift(bob_observable(j)))
+                for branch in branches)
+            assert abs(chsh_exact(source).correlators[(i, j)] - reference) <= 1e-15
             # the sampler draws from that mixture table on the setting's own stream
             products = [a * b for a, _ in lifted_spectrum(alice_observable(i))
                         for b, _ in lifted_spectrum(bob_observable(j))]

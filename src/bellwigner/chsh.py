@@ -1,9 +1,9 @@
 """CHSH engine: exact correlators, classical bound, seeded Monte Carlo runs.
 
 The quantity of interest is S = <A1B1> + <A1B0> + <A0B1> - <A0B0>. Joint
-measurement of one Alice setting with one Bob setting uses products of the
-lifted spectral projectors, which is legitimate because the two sides
-commute; no sequential collapse is involved.
+measurement of one Alice setting with one Bob setting uses the Kronecker
+products Pa (x) Pb of the sides' spectral projectors, legitimate because the
+sides act on disjoint factors and commute; no sequential collapse is involved.
 
 The engine takes a 16-dim state over ``states.FULL_LAYOUT`` or an ensemble,
 a sequence of branches with ``weight`` and such a ``state``, such as
@@ -13,7 +13,7 @@ the engine checks only its layout and refuses any other subsystem order,
 such as the friends in the photon slots. An ensemble's correlators and
 outcome tables are the Born-weighted averages of its branches'.
 
-The outcome cells of a setting pair, the products Pa@Pb of lifted spectral
+The outcome cells of a setting pair, the products Pa (x) Pb of the 4x4 side
 projectors, are checked once and cached as one read-only real (K, 256) stack:
 each is finite, Hermitian and real, and they sum to the identity. For a real
 symmetric cell C, <psi|C|psi> = sum(C * G) over the 256 entries of the state's
@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# nothing here calls expectation or lift: bench/spans.py rebinds both names on this module
-from .linalg import DEFAULT_TOL, expectation, frobenius_norm, is_hermitian
+# nothing here calls expectation, lift or lifted_spectrum: bench/spans.py rebinds them here
+from .linalg import DEFAULT_TOL, expectation, frobenius_norm, is_hermitian, kron
 from .observables import alice_observable, bob_observable, check_setting, lift, lifted_spectrum
 from .states import FULL_LAYOUT, StateVector
 
@@ -145,17 +145,17 @@ def _born_sum(state: StateVector | Sequence, value):
 @functools.cache
 def _outcome_cells(i: int, j: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     """Setting (i, j)'s cells in one order: (a_value, b_value) pairs, the read-only
-    real (K, 256) stack of the products Pa@Pb, each flattened, and the read-only
-    outcome products a*b.
+    real (K, 256) stack of the products Pa (x) Pb of the 4x4 side projectors (each
+    entry one product, no sum), flattened, and the read-only outcome products a*b.
 
     Each cell must be finite, Hermitian and real (imaginary part exactly 0), and
     the cells must sum to the identity; raises ValueError otherwise, and nothing
     is cached.
     """
     outcomes, cells = [], []
-    for a_value, pa in lifted_spectrum(alice_observable(i)):
-        for b_value, pb in lifted_spectrum(bob_observable(j)):
-            cell = pa @ pb
+    for a_value, pa in alice_observable(i).spectrum:
+        for b_value, pb in bob_observable(j).spectrum:
+            cell = kron(pa, pb)
             if not is_hermitian(cell):
                 raise ValueError(f"outcome cell ({a_value}, {b_value}) of setting ({i}, {j}) "
                                  "is not Hermitian")

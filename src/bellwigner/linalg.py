@@ -3,17 +3,16 @@
 Everything works on plain ``complex128`` numpy arrays. Storage is dense and
 there is no eigensolver: every spectral decomposition in this package is
 written down analytically. ``DEFAULT_TOL``, the absolute 1e-12, is the
-package's one tolerance; only the branch-weight floor, the projector-rank
-tolerance and the GRW rate floor differ from it. All functions are pure;
-nothing here mutates its arguments. A state is checked once, when its
-``StateVector`` is built; ``expectation`` trusts it and checks the operator.
-No package code calls ``expectation``: its BLAS calls (zgemv, zdotc) may round
-differently from one CPU to another, and it is the tests' reference route (the
-bench rebinds ``chsh.expectation``). ``commutator_norm``'s two matrix
-products make no BLAS call and no fused multiply-add: they are float64
-products and sums of real and imaginary parts, so they have the same bits on
-every CPU. Joint tables and exact correlators are not computed here: ``chsh``
-reduces them from real cell stacks.
+package's one tolerance; only the branch-weight floor and the GRW rate floor
+differ from it. All functions are pure; nothing here mutates its arguments. A
+state is checked once, when its ``StateVector`` is built; ``expectation``
+trusts it and checks the operator. No package code calls ``expectation``: its
+BLAS calls (zgemv, zdotc) may round differently from one CPU to another, and
+it is the tests' reference route (the bench rebinds ``chsh.expectation``).
+Every other matrix product in the package is ``product`` and every operator
+norm ``frobenius_norm``: float64 products and ufunc sums, with no BLAS call and
+no fused multiply-add, so the same bits on every CPU. Joint tables and exact
+correlators are not computed here: ``chsh`` reduces them from real cell stacks.
 """
 
 from __future__ import annotations
@@ -36,7 +35,8 @@ def as_matrix(m) -> np.ndarray:
 
 
 def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(as_matrix(m)))
+    a = as_matrix(m)
+    return float(np.sqrt((a.real * a.real + a.imag * a.imag).sum()))
 
 
 def kron(a, b) -> np.ndarray:
@@ -73,11 +73,11 @@ def expectation(psi, m) -> float:
     return float(value.real)
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b from float64 products and sums of the real and imaginary parts.
 
     Not ``a @ b``: BLAS zgemm, and numpy's SIMD complex multiply too, may fuse a
-    multiply-add or reorder a sum depending on the CPU.
+    multiply-add or reorder a sum depending on the CPU. Exact on entries 0, +-1/2, 1.
     """
     ar, ai = a.real[:, :, None], a.imag[:, :, None]
     br, bi = b.real, b.imag
@@ -99,4 +99,4 @@ def commutator_norm(m, n) -> float:
     b = as_matrix(n)
     if a.shape[0] != a.shape[1] or a.shape != b.shape:
         raise ValueError(f"commutator needs equal square matrices, got {a.shape} and {b.shape}")
-    return frobenius_norm(_product(a, b) - _product(b, a))
+    return frobenius_norm(product(a, b) - product(b, a))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, commutator_norm, frobenius_norm, kron
+from .linalg import commutator_norm, frobenius_norm, kron, product
 from .states import basis_index
 
 ALICE = "alice"
@@ -195,12 +195,12 @@ def verify_algebra(
     """Run every algebraic identity the observables must satisfy.
 
     Failures are report entries, never exceptions, so corrupted observables
-    can be fed in as negative controls. Checks: squares of the setting-0
-    observables are the identity; squares of the setting-1 observables equal
-    the correlated-support projector; all four inter-side commutators vanish
-    exactly; both intra-side commutator norms exceed 0.5; each spectrum
-    reconstructs its matrix, has the expected outcome values and projector
-    ranks, and consists of orthogonal projectors summing to the identity.
+    can be fed in as negative controls. Both intra-side commutator norms must
+    exceed 0.5; every other check holds only at residual 0.0 (``product`` is
+    exact on entries 0, +-1/2, 1): setting-0 squares are the identity, setting-1
+    squares the correlated-support projector, the four inter-side commutators
+    vanish, and each spectrum reconstructs its matrix, has the expected values
+    and ranks, and is orthogonal projectors summing to the identity.
     """
     a0 = a0 or make_observable("A0")
     a1 = a1 or make_observable("A1")
@@ -218,8 +218,8 @@ def verify_algebra(
         (a1, support, "A1_squared_support"),
         (b1, support, "B1_squared_support"),
     ):
-        residual = frobenius_norm(obs.matrix @ obs.matrix - target)
-        add(name, residual <= DEFAULT_TOL, residual)
+        residual = frobenius_norm(product(obs.matrix, obs.matrix) - target)
+        add(name, residual == 0.0, residual)
 
     for alice_obs in (a0, a1):
         for bob_obs in (b0, b1):
@@ -233,7 +233,7 @@ def verify_algebra(
     for obs in (a0, a1, b0, b1):
         recon = sum(value * p for value, p in obs.spectrum)
         residual = frobenius_norm(recon - obs.matrix)
-        add(f"spectrum_reconstruction_{obs.label}", residual <= DEFAULT_TOL, residual)
+        add(f"spectrum_reconstruction_{obs.label}", residual == 0.0, residual)
 
         expected = _EXPECTED_SPECTRA[obs.label[1]]
         values = tuple(value for value, _ in obs.spectrum)
@@ -244,16 +244,16 @@ def verify_algebra(
                 abs(np.trace(p).real - rank)
                 for (_, p), (_, rank) in zip(obs.spectrum, expected)
             )
-            add(f"spectrum_values_{obs.label}", rank_dev <= 1e-9, rank_dev)
+            add(f"spectrum_values_{obs.label}", rank_dev == 0.0, rank_dev)
 
         worst = 0.0
         projectors = [p for _, p in obs.spectrum]
         for i, p in enumerate(projectors):
-            worst = max(worst, frobenius_norm(p @ p - p))
+            worst = max(worst, frobenius_norm(product(p, p) - p))
             worst = max(worst, frobenius_norm(p - p.conj().T))
             for q in projectors[i + 1:]:
-                worst = max(worst, frobenius_norm(p @ q))
+                worst = max(worst, frobenius_norm(product(p, q)))
         worst = max(worst, frobenius_norm(sum(projectors) - _I4))
-        add(f"spectrum_projectors_{obs.label}", worst <= DEFAULT_TOL, worst)
+        add(f"spectrum_projectors_{obs.label}", worst == 0.0, worst)
 
     return AlgebraReport(tuple(checks))

@@ -26,7 +26,13 @@ from bellwigner.chsh import (
 )
 from bellwigner.interpretations import Branch, _friend_branches
 from bellwigner.linalg import expectation
-from bellwigner.observables import alice_observable, bob_observable, lift, lifted_spectrum
+from bellwigner.observables import (
+    Observable,
+    alice_observable,
+    bob_observable,
+    lift,
+    lifted_spectrum,
+)
 from bellwigner.states import FULL_LAYOUT, StateVector, bell_wigner_state
 from oracle import ket
 
@@ -372,19 +378,32 @@ def test_cached_outcome_cells_are_read_only(pair):
             array[0] = 1.0
 
 
-OFF_DIAGONAL = np.zeros((16, 16), dtype=complex)
+def test_cached_outcome_cells_equal_the_products_of_the_lifted_projectors():
+    # the reference route: a 16x16 BLAS product Pa@Pb of the lifted projectors
+    count = 0
+    for i, j in SETTING_PAIRS:
+        _, stack, _ = chsh._outcome_cells(i, j)
+        lifted = [pa @ pb for _, pa in lifted_spectrum(alice_observable(i))
+                  for _, pb in lifted_spectrum(bob_observable(j))]
+        assert len(lifted) == len(stack)
+        for cell, reference in zip(stack, lifted):
+            assert np.array_equal(cell.reshape(16, 16), reference)
+            count += 1
+    assert count == 25
+
+
+OFF_DIAGONAL = np.zeros((4, 4), dtype=complex)
 OFF_DIAGONAL[0, 1] = 0.5
 # Hermitian and imaginary, on Alice's factors only, so it commutes with Bob's cells
 IMAGINARY = np.zeros((4, 4), dtype=complex)
 IMAGINARY[0, 1], IMAGINARY[1, 0] = 0.5j, -0.5j
-IMAGINARY = np.kron(IMAGINARY, np.eye(4))
 
-# Alice's lifted spectrum edited so that exactly one build-time check fails
+# Alice's 4x4 side spectrum edited so that exactly one build-time check fails
 BROKEN_SPECTRA = {
-    # the cells still sum to the identity, but two are not Hermitian
+    # the cells still sum to the identity, but the cells of two projectors are not Hermitian
     "not Hermitian": lambda s: (
         (s[0][0], s[0][1] + OFF_DIAGONAL), (s[1][0], s[1][1] - OFF_DIAGONAL), *s[2:]),
-    "matrix entries must be finite": lambda s: ((s[0][0], np.full((16, 16), np.nan)), *s[1:]),
+    "matrix entries must be finite": lambda s: ((s[0][0], np.full((4, 4), np.nan)), *s[1:]),
     # the cells still sum to the identity and are Hermitian, but two are complex
     "not real": lambda s: (
         (s[0][0], s[0][1] + IMAGINARY), (s[1][0], s[1][1] - IMAGINARY), *s[2:]),
@@ -403,10 +422,14 @@ def fresh_cells():
 
 @pytest.mark.parametrize("message", BROKEN_SPECTRA)
 def test_outcome_cells_are_checked_when_built(monkeypatch, fresh_cells, message):
-    original = chsh.lifted_spectrum
+    original = chsh.alice_observable
     edit = BROKEN_SPECTRA[message]
-    monkeypatch.setattr(chsh, "lifted_spectrum", lambda obs: (
-        edit(original(obs)) if obs.side == "alice" else original(obs)))
+
+    def broken(setting):
+        obs = original(setting)
+        return Observable(obs.label, obs.matrix, edit(obs.spectrum))
+
+    monkeypatch.setattr(chsh, "alice_observable", broken)
     for pair in SETTING_PAIRS:
         with pytest.raises(ValueError, match=message):
             chsh._outcome_cells(*pair)

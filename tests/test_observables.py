@@ -121,13 +121,24 @@ def test_verify_algebra_passes_on_builtins():
     report = verify_algebra()
     assert report.all_passed
     checks = checks_by_name(report)
-    for name in ("A0_squared_identity", "A1_squared_support", "B1_squared_support"):
-        assert checks[name].residual <= 1e-12
-    for alice in ("A0", "A1"):
-        for bob in ("B0", "B1"):
-            assert checks[f"commute_{alice}_{bob}"].residual == 0.0
+    identities = [name for name in checks if not name.startswith("noncommute_")]
+    assert len(identities) == 20
+    for name in identities:
+        assert checks[name].residual == 0.0, name
     assert checks["noncommute_A0_A1"].residual > 0.5
     assert checks["noncommute_B0_B1"].residual > 0.5
+
+
+def test_verify_algebra_flags_a_projector_one_ulp_off():
+    good = make_observable("A1")
+    (value, p_plus), *rest = good.spectrum
+    moved = np.array(p_plus)
+    row, col = np.argwhere(moved.real == 0.5)[0]
+    moved[row, col] = np.nextafter(0.5, 1.0)
+    report = verify_algebra(a1=Observable("A1", good.matrix, ((value, moved), *rest)))
+    check = checks_by_name(report)["spectrum_projectors_A1"]
+    assert not check.passed
+    assert 0.0 < check.residual < 1e-15
 
 
 def test_verify_algebra_flags_corrupted_a1():

@@ -13,18 +13,19 @@ the engine checks only its layout and refuses any other subsystem order,
 such as the friends in the photon slots. An ensemble's correlators and
 outcome tables are the Born-weighted averages of its branches'.
 
-The outcome cells of a setting pair, the products Pa (x) Pb of the 4x4 side
-projectors, are checked once and cached as one read-only real (K, 256) stack:
-each is finite, Hermitian and real, and they sum to the identity. For a real
-symmetric cell C, <psi|C|psi> = sum(C * G) over the 256 entries of the state's
-G = Re(psi psi^H) = x x^T + y y^T (x, y = Re psi, Im psi), and an ensemble's G
-is the Born-weighted sum of its branches'. A joint table is that sum for every
-cell at once: float64 products and sums, with no BLAS call and no fused
-multiply-add. An exact correlator is the sum of a table's cells times their
-outcome products a*b, so an ensemble's exact correlators are those of its
-Born-weighted G, the mixture the sampler draws from, and exact correlators,
-joint tables and sampled outputs have the same bits on every CPU. Nothing here
-calls ``linalg.expectation``, the tests' BLAS reference route.
+The outcome cells of the four setting pairs, the products Pa (x) Pb of the 4x4
+side projectors, are checked once and cached as one read-only real (25, 256)
+stack in SETTING_PAIRS order, a setting's cells being a view of its rows: each
+is finite, Hermitian and real, and each setting's cells sum to the identity.
+For a real symmetric cell C, <psi|C|psi> = sum(C * G) over the 256 entries of
+the state's G = Re(psi psi^H) = x x^T + y y^T (x, y = Re psi, Im psi), and an
+ensemble's G is the Born-weighted sum of its branches'. A report reduces the
+whole stack once, a joint table a setting's rows: float64 products and sums,
+with no BLAS call and no fused multiply-add. An exact correlator is the sum of
+a setting's cells times their outcome products a*b, so an ensemble's exact
+correlators are those of its Born-weighted G, the mixture the sampler draws
+from, and exact correlators, joint tables and sampled outputs have the same
+bits on every CPU. Nothing here calls ``linalg.expectation`` (BLAS).
 
 Sampling draws the outcome-cell counts of each setting pair (i, j) at once,
 so time and memory do not grow with the shot count, from a generator seeded
@@ -143,36 +144,46 @@ def _born_sum(state: StateVector | Sequence, value):
 
 
 @functools.cache
-def _outcome_cells(i: int, j: int) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """Setting (i, j)'s cells in one order: (a_value, b_value) pairs, the read-only
-    real (K, 256) stack of the products Pa (x) Pb of the 4x4 side projectors (each
-    entry one product, no sum), flattened, and the read-only outcome products a*b.
+def _cells() -> tuple[tuple, np.ndarray, np.ndarray, tuple]:
+    """All four setting pairs' cells in SETTING_PAIRS order: (a_value, b_value) pairs,
+    the read-only real (25, 256) stack of the products Pa (x) Pb of the 4x4 side
+    projectors (each entry one product, no sum), flattened, the read-only outcome
+    products a*b, and each pair's (first, end) rows, in the same order.
 
-    Each cell must be finite, Hermitian and real (imaginary part exactly 0), and
-    the cells must sum to the identity; raises ValueError otherwise, and nothing
-    is cached.
+    Each cell must be finite, Hermitian and real (imaginary part exactly 0), and each
+    pair's cells must sum to the identity; raises ValueError otherwise, caching nothing.
     """
-    outcomes, cells = [], []
-    for a_value, pa in alice_observable(i).spectrum:
-        for b_value, pb in bob_observable(j).spectrum:
-            cell = kron(pa, pb)
-            if not is_hermitian(cell):
-                raise ValueError(f"outcome cell ({a_value}, {b_value}) of setting ({i}, {j}) "
-                                 "is not Hermitian")
-            if cell.imag.any():
-                raise ValueError(f"outcome cell ({a_value}, {b_value}) of setting ({i}, {j}) "
-                                 "is not real")
-            outcomes.append((a_value, b_value))
-            cells.append(cell.real.reshape(256))
+    outcomes, cells, rows = [], [], []
+    for i, j in SETTING_PAIRS:
+        first = len(cells)
+        for a_value, pa in alice_observable(i).spectrum:
+            for b_value, pb in bob_observable(j).spectrum:
+                cell = kron(pa, pb)
+                if not is_hermitian(cell):
+                    raise ValueError(f"outcome cell ({a_value}, {b_value}) of setting ({i}, {j}) "
+                                     "is not Hermitian")
+                if cell.imag.any():
+                    raise ValueError(f"outcome cell ({a_value}, {b_value}) of setting ({i}, {j}) "
+                                     "is not real")
+                outcomes.append((a_value, b_value))
+                cells.append(cell.real.reshape(256))
+        rows.append((first, len(cells)))
+        residual = frobenius_norm(np.sum(cells[first:], axis=0).reshape(16, 16) - np.eye(16))
+        if residual > DEFAULT_TOL:
+            raise ValueError(f"outcome cells of setting ({i}, {j}) sum to the identity "
+                             f"only within {residual:.3e}")
     stack = np.array(cells)
-    residual = frobenius_norm(stack.sum(axis=0).reshape(16, 16) - np.eye(16))
-    if residual > DEFAULT_TOL:
-        raise ValueError(f"outcome cells of setting ({i}, {j}) sum to the identity "
-                         f"only within {residual:.3e}")
     products = np.array([a_value * b_value for a_value, b_value in outcomes])
     for array in (stack, products):
         array.setflags(write=False)
-    return tuple(outcomes), stack, products
+    return tuple(outcomes), stack, products, tuple(rows)
+
+
+def _outcome_cells(i: int, j: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Setting (i, j)'s outcomes, cell stack and outcome products: its rows of ``_cells()``."""
+    outcomes, stack, products, rows = _cells()
+    first, end = rows[SETTING_PAIRS.index((i, j))]
+    return outcomes[first:end], stack[first:end], products[first:end]
 
 
 def _gram(state: StateVector) -> np.ndarray:
@@ -194,8 +205,10 @@ def chsh_exact(state: StateVector | Sequence) -> ChshReport:
     """Exact quantum correlators and S value of a 16-dim state or an ensemble: each
     correlator is sum(a*b * P(a, b)) over the joint table of its Born-weighted G."""
     gram = _born_sum(state, _gram)
-    correlators = {(i, j): float((_outcome_cells(i, j)[2] * _table(gram, i, j)).sum())
-                   for i, j in SETTING_PAIRS}
+    _, stack, products, rows = _cells()
+    weighted = products * (stack * gram).sum(axis=1)
+    correlators = {pair: float(weighted[first:end].sum())
+                   for pair, (first, end) in zip(SETTING_PAIRS, rows)}
     return ChshReport("exact", correlators, s_from_correlators(correlators))
 
 
@@ -230,18 +243,13 @@ def sample_products(
     return mean, float((counts * (values - mean) ** 2).sum()) / (shots - 1)
 
 
-def _setting_products(gram: np.ndarray, i: int, j: int, shots: int, seed: int
-                      ) -> tuple[float, float]:
-    table = _table(gram, i, j)
-    return sample_products(table, _outcome_cells(i, j)[2], shots, (seed, i, j))
-
-
 def sample_setting_products(
     state: StateVector | Sequence, i: int, j: int, shots: int, seed: int
 ) -> tuple[float, float]:
     """Mean and ddof=1 variance of the products a*b of `shots` joint outcomes of setting
     (i, j), drawn from the mixture table of an ensemble: the table of its Born-weighted G."""
-    return _setting_products(_born_sum(state, _gram), i, j, shots, seed)
+    table = _table(_born_sum(state, _gram), i, j)
+    return sample_products(table, _outcome_cells(i, j)[2], shots, (seed, i, j))
 
 
 def report_from_setting_products(
@@ -272,9 +280,11 @@ def chsh_sampled(state: StateVector | Sequence, shots_per_setting: int, seed: in
     if shots_per_setting > 2 ** 63 - 1:  # outcome counts are int64
         raise ValueError(f"shots {shots_per_setting} exceeds the bound of 2**63 - 1 per setting")
     gram = _born_sum(state, _gram)
-    setting_stats = {
-        (i, j): _setting_products(gram, i, j, shots_per_setting, seed) for i, j in SETTING_PAIRS
-    }
+    _, stack, products, rows = _cells()
+    table = (stack * gram).sum(axis=1)
+    setting_stats = {(i, j): sample_products(table[first:end], products[first:end],
+                                             shots_per_setting, (seed, i, j))
+                     for (i, j), (first, end) in zip(SETTING_PAIRS, rows)}
     return report_from_setting_products(setting_stats, shots_per_setting)
 
 

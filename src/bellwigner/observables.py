@@ -10,6 +10,7 @@ down in closed form, so no eigensolver is involved anywhere.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -194,8 +195,9 @@ def verify_algebra(
 ) -> AlgebraReport:
     """Run every algebraic identity the observables must satisfy.
 
-    Failures are report entries, never exceptions, so corrupted observables
-    can be fed in as negative controls. Both intra-side commutator norms must
+    Failures are report entries, so corrupted observables can be fed in as
+    negative controls; a check that reads a non-finite entry fails at residual
+    nan, with no exception or warning. Both intra-side commutator norms must
     exceed 0.5; every other check holds only at residual 0.0 (``product`` is
     exact on entries 0, +-1/2, 1): setting-0 squares are the identity, setting-1
     squares the correlated-support projector, the four inter-side commutators
@@ -209,8 +211,9 @@ def verify_algebra(
     support = _correlated_support()
     checks: list[AlgebraCheck] = []
 
-    def add(name: str, passed: bool, residual: float):
-        checks.append(AlgebraCheck(name, bool(passed), float(residual)))
+    def add(name: str, inputs, residual, passes=lambda r: r == 0.0):
+        r = residual() if all(np.isfinite(m).all() for m in inputs) else math.nan
+        checks.append(AlgebraCheck(name, bool(passes(r)), float(r)))
 
     for obs, target, name in (
         (a0, _I4, "A0_squared_identity"),
@@ -218,42 +221,38 @@ def verify_algebra(
         (a1, support, "A1_squared_support"),
         (b1, support, "B1_squared_support"),
     ):
-        residual = frobenius_norm(product(obs.matrix, obs.matrix) - target)
-        add(name, residual == 0.0, residual)
+        add(name, [obs.matrix], lambda: frobenius_norm(product(obs.matrix, obs.matrix) - target))
 
     for alice_obs in (a0, a1):
         for bob_obs in (b0, b1):
-            residual = commutator_norm(lift(alice_obs), lift(bob_obs))
-            add(f"commute_{alice_obs.label}_{bob_obs.label}", residual == 0.0, residual)
+            add(f"commute_{alice_obs.label}_{bob_obs.label}", [alice_obs.matrix, bob_obs.matrix],
+                lambda: commutator_norm(lift(alice_obs), lift(bob_obs)))
 
     for first, second in ((a0, a1), (b0, b1)):
-        residual = commutator_norm(lift(first), lift(second))
-        add(f"noncommute_{first.label}_{second.label}", residual > 0.5, residual)
+        add(f"noncommute_{first.label}_{second.label}", [first.matrix, second.matrix],
+            lambda: commutator_norm(lift(first), lift(second)), lambda r: r > 0.5)
 
     for obs in (a0, a1, b0, b1):
-        recon = sum(value * p for value, p in obs.spectrum)
-        residual = frobenius_norm(recon - obs.matrix)
-        add(f"spectrum_reconstruction_{obs.label}", residual == 0.0, residual)
+        values = tuple(value for value, _ in obs.spectrum)
+        projectors = [p for _, p in obs.spectrum]
+        add(f"spectrum_reconstruction_{obs.label}", [obs.matrix, values, *projectors],
+            lambda: frobenius_norm(sum(value * p for value, p in obs.spectrum) - obs.matrix))
 
         expected = _EXPECTED_SPECTRA[obs.label[1]]
-        values = tuple(value for value, _ in obs.spectrum)
         if values != tuple(v for v, _ in expected):
-            add(f"spectrum_values_{obs.label}", False, 1.0)
+            checks.append(AlgebraCheck(f"spectrum_values_{obs.label}", False, 1.0))
         else:
-            rank_dev = max(
-                abs(np.trace(p).real - rank)
-                for (_, p), (_, rank) in zip(obs.spectrum, expected)
-            )
-            add(f"spectrum_values_{obs.label}", rank_dev == 0.0, rank_dev)
+            add(f"spectrum_values_{obs.label}", projectors, lambda: max(
+                abs(np.trace(p).real - rank) for p, (_, rank) in zip(projectors, expected)))
 
-        worst = 0.0
-        projectors = [p for _, p in obs.spectrum]
-        for i, p in enumerate(projectors):
-            worst = max(worst, frobenius_norm(product(p, p) - p))
-            worst = max(worst, frobenius_norm(p - p.conj().T))
-            for q in projectors[i + 1:]:
-                worst = max(worst, frobenius_norm(product(p, q)))
-        worst = max(worst, frobenius_norm(sum(projectors) - _I4))
-        add(f"spectrum_projectors_{obs.label}", worst == 0.0, worst)
+        def projector_residual():
+            worst = 0.0
+            for i, p in enumerate(projectors):
+                worst = max(worst, frobenius_norm(product(p, p) - p))
+                worst = max(worst, frobenius_norm(p - p.conj().T))
+                for q in projectors[i + 1:]:
+                    worst = max(worst, frobenius_norm(product(p, q)))
+            return max(worst, frobenius_norm(sum(projectors) - _I4))
+        add(f"spectrum_projectors_{obs.label}", projectors, projector_residual)
 
     return AlgebraReport(tuple(checks))

@@ -369,10 +369,40 @@ def test_tables_are_within_1e_15_of_the_per_cell_expectation_route():
             assert [v.hex() for v in sampled] == [v.hex() for v in expected]
 
 
+def per_setting_correlator(gram, i, j):
+    """The reference: setting (i, j)'s correlator from its own table, one reduction each."""
+    return float((chsh._outcome_cells(i, j)[2] * chsh._table(gram, i, j)).sum())
+
+
+def test_one_reduction_of_the_stack_gives_the_per_setting_tables_and_reports_bit_for_bit():
+    # the 21 states of the test above, then 1000 more
+    rng, more = np.random.default_rng(41), np.random.default_rng(43)
+    states = [bell_wigner_state()] + [random_full_state(rng) for _ in range(20)]
+    states += [random_full_state(more) for _ in range(1000)]
+    sources = states + [_friend_branches(states[1])]
+    _, stack, _, rows = chsh._cells()
+    assert rows == ((0, 9), (9, 15), (15, 21), (21, 25))
+    for n, source in enumerate(sources):
+        gram = chsh._born_sum(source, chsh._gram)
+        table = (stack * gram).sum(axis=1)
+        exact = chsh_exact(source)
+        sampled = chsh_sampled(source, 1000, n)
+        for (i, j), (first, end) in zip(SETTING_PAIRS, rows):
+            assert table[first:end].tobytes() == chsh._table(gram, i, j).tobytes()
+            assert exact.correlators[(i, j)].hex() == per_setting_correlator(gram, i, j).hex()
+        serial = {pair: sample_setting_products(source, *pair, 1000, n) for pair in SETTING_PAIRS}
+        # repr round-trips every float, so equal reprs mean equal bits
+        assert repr(sampled) == repr(report_from_setting_products(serial, 1000))
+
+
 @pytest.mark.parametrize("pair", SETTING_PAIRS)
 def test_cached_outcome_cells_are_read_only(pair):
+    _, whole, all_products, _ = chsh._cells()
+    assert whole.shape == (25, 256) and all_products.shape == (25,)
     _, stack, products = chsh._outcome_cells(*pair)
-    for array in (stack, *stack, products):
+    # a setting's cells are views of the one cached stack, not copies
+    assert np.shares_memory(stack, whole) and np.shares_memory(products, all_products)
+    for array in (whole, *whole, all_products, stack, *stack, products):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
@@ -414,10 +444,10 @@ BROKEN_SPECTRA = {
 
 @pytest.fixture
 def fresh_cells():
-    """An empty cell cache, emptied again after the test."""
-    chsh._outcome_cells.cache_clear()
+    """An empty cell cache, the one for all four settings, emptied again after the test."""
+    chsh._cells.cache_clear()
     yield
-    chsh._outcome_cells.cache_clear()
+    chsh._cells.cache_clear()
 
 
 @pytest.mark.parametrize("message", BROKEN_SPECTRA)
@@ -435,4 +465,7 @@ def test_outcome_cells_are_checked_when_built(monkeypatch, fresh_cells, message)
             chsh._outcome_cells(*pair)
         with pytest.raises(ValueError, match=message):
             joint_distribution(bell_wigner_state(), *pair)
-    assert chsh._outcome_cells.cache_info().currsize == 0
+    for report in (chsh_exact, lambda state: chsh_sampled(state, 1000, 1)):
+        with pytest.raises(ValueError, match=message):
+            report(bell_wigner_state())
+    assert chsh._cells.cache_info().currsize == 0

@@ -141,6 +141,29 @@ def test_verify_algebra_flags_a_projector_one_ulp_off():
     assert 0.0 < check.residual < 1e-15
 
 
+A1 = make_observable("A1")
+INF_MATRIX = np.array(A1.matrix)
+INF_MATRIX[1, 2] = np.inf
+
+
+@pytest.mark.parametrize("broken,failing", [
+    # checks that read A1's spectrum
+    (Observable("A1", A1.matrix, ((1.0, np.full((4, 4), np.nan)), *A1.spectrum[1:])),
+     {"spectrum_reconstruction_A1", "spectrum_values_A1", "spectrum_projectors_A1"}),
+    # checks that read A1's matrix; inf * 0 in a product would warn
+    (Observable("A1", INF_MATRIX, A1.spectrum),
+     {"A1_squared_support", "commute_A1_B0", "commute_A1_B1", "noncommute_A0_A1",
+      "spectrum_reconstruction_A1"}),
+], ids=["nan_projector", "inf_matrix"])
+def test_verify_algebra_reports_a_non_finite_entry(broken, failing):
+    # no exception, and no warning: the suite turns warnings into errors
+    checks = checks_by_name(verify_algebra(a1=broken))
+    assert {name for name, check in checks.items() if not check.passed} == failing
+    for name in failing:
+        assert math.isnan(checks[name].residual)
+    assert len(checks) == 22
+
+
 def test_verify_algebra_flags_corrupted_a1():
     good = make_observable("A1")
     corrupted_matrix = np.array(good.matrix)

@@ -22,6 +22,7 @@ its statistics over the branches.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -192,6 +193,12 @@ def _friend_branches(state: StateVector) -> list[Branch]:
     return branches
 
 
+@functools.cache
+def _bell_wigner_branches() -> tuple[Branch, ...]:
+    """The friend-record branches of ``bell_wigner_state()``, built once per process."""
+    return tuple(_friend_branches(bell_wigner_state()))
+
+
 def many_worlds_branches(state: StateVector) -> list[Branch]:
     """Decompose a (photon, friend) state into friend-outcome branches.
 
@@ -285,9 +292,9 @@ def agreement_report(
 
     Backends differ only in whether their rule dephases the friends at
     ``scale``. The engine runs once per decision, on the friend-record
-    branches if the rule holds and on the bare state otherwise, so the
-    branches are built at most once per call; backends with the same
-    decision share one report, the one each would have computed on its own.
+    branches if the rule holds and on the bare state otherwise, both built
+    once per process and cached; backends with the same decision share one
+    report, the one each would have computed on its own.
     """
     state = bell_wigner_state()
     reports: dict[str, ChshReport] = {}
@@ -295,7 +302,7 @@ def agreement_report(
     for name, dephases in _ENSEMBLE_BUILDERS.items():
         decision = dephases(scale)
         if decision not in computed:
-            ensemble = _friend_branches(state) if decision else state
+            ensemble = _bell_wigner_branches() if decision else state
             computed[decision] = (chsh_engine.chsh_sampled(ensemble, shots, seed) if sampled
                                   else chsh_engine.chsh_exact(ensemble))
         reports[name] = computed[decision]

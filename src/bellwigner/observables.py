@@ -197,12 +197,13 @@ def verify_algebra(
 
     Failures are report entries, so corrupted observables can be fed in as
     negative controls; a check that reads a non-finite entry fails at residual
-    nan, with no exception or warning. Both intra-side commutator norms must
-    exceed 0.5; every other check holds only at residual 0.0 (``product`` is
-    exact on entries 0, +-1/2, 1): setting-0 squares are the identity, setting-1
-    squares the correlated-support projector, the four inter-side commutators
-    vanish, and each spectrum reconstructs its matrix, has the expected values
-    and ranks, and is orthogonal projectors summing to the identity.
+    nan, and one whose norm overflows at inf, with no exception or warning.
+    Both intra-side commutator norms must exceed 0.5; every other check holds
+    only at residual 0.0 (``product`` is exact on entries 0, +-1/2, 1):
+    setting-0 squares are the identity, setting-1 squares the correlated-support
+    projector, the four inter-side commutators vanish, and each spectrum
+    reconstructs its matrix, has the expected values and ranks, and is
+    orthogonal projectors summing to the identity.
     """
     a0 = a0 or make_observable("A0")
     a1 = a1 or make_observable("A1")
@@ -212,8 +213,9 @@ def verify_algebra(
     checks: list[AlgebraCheck] = []
 
     def add(name: str, inputs, residual, passes=lambda r: r == 0.0):
-        r = residual() if all(np.isfinite(m).all() for m in inputs) else math.nan
-        checks.append(AlgebraCheck(name, bool(passes(r)), float(r)))
+        with np.errstate(over="ignore", invalid="ignore"):  # a large entry's norm overflows
+            r = float(residual()) if all(np.isfinite(m).all() for m in inputs) else math.nan
+        checks.append(AlgebraCheck(name, math.isfinite(r) and bool(passes(r)), r))
 
     for obs, target, name in (
         (a0, _I4, "A0_squared_identity"),

@@ -18,6 +18,7 @@ tensor-factor transposition bug.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -135,6 +136,7 @@ def entangled_pair() -> StateVector:
     return StateVector(subsystems, amps)
 
 
+@functools.cache
 def bell_wigner_state() -> StateVector:
     """The four-photon state measured in the extended Wigner's-friend test.
 
@@ -142,7 +144,8 @@ def bell_wigner_state() -> StateVector:
     |h,F_v>_a|v,F_h>_b and |v,F_h>_a|h,F_v>_b, amplitude sin(pi/8)/sqrt(2)
     on |h,F_v>_a|h,F_v>_b and -sin(pi/8)/sqrt(2) on |v,F_h>_a|v,F_h>_b.
     The remaining 12 amplitudes are exactly zero. The trig factors are
-    computed at run time from pi, never hard-coded decimals.
+    computed at run time from pi, never hard-coded decimals. Built once per
+    process and cached: every call returns the same frozen, read-only state.
     """
     c = math.cos(math.pi / 8.0) / math.sqrt(2.0)
     s = math.sin(math.pi / 8.0) / math.sqrt(2.0)

@@ -331,6 +331,15 @@ def test_sample_variance_from_counts_does_not_cancel():
     assert abs(variance / exact - 1) <= 1e-9
 
 
+def test_sample_products_floor_has_the_bits_of_clip():
+    # np.maximum(p, 0.0) is the ufunc np.clip calls when its upper bound is None: a table's
+    # rounding negatives, signed zeros and subnormals keep the same bits either way
+    table = np.array([-0.0, 0.0, -1e-17, -5e-324, 5e-324, 0.25, 1.0])
+    clipped = np.clip(np.asarray(table, dtype=float), 0.0, None)
+    floored = np.maximum(table, 0.0)
+    assert [x.hex() for x in floored.tolist()] == [x.hex() for x in clipped.tolist()]
+
+
 def expectation_table(state, i, j):
     """Setting (i, j)'s joint probabilities, one ``linalg.expectation`` of Pa@Pb per cell."""
     return [expectation(state.amplitudes, pa @ pb)

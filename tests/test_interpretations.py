@@ -17,6 +17,7 @@ from bellwigner.interpretations import (
     FriendScale,
     GrwParams,
     GrwSimResult,
+    _bell_wigner_branches,
     _friend_branches,
     agreement_report,
     grw_exact_probability,
@@ -279,7 +280,7 @@ def test_agreement_document_shape():
 
 # (scale, distinct backend decisions, branch builds): at the presets all three
 # backends agree; a long micro run and a short macro run make GRW disagree with
-# the other two. The friend-record branches are built at most once per call.
+# the other two. The friend-record branches are built at most once per process.
 AGREEMENT_SCALES = {
     "micro": (FriendScale.microscopic(), 1, 0),
     "macro": (FriendScale.macroscopic(), 1, 1),
@@ -307,10 +308,16 @@ def test_agreement_runs_the_engine_once_per_distinct_ensemble(monkeypatch, case,
     monkeypatch.setattr(engine, "chsh_exact", counted(exact))
     monkeypatch.setattr(engine, "chsh_sampled", counted(sampled_run))
     monkeypatch.setattr(interp, "_friend_branches", counted(_friend_branches))
+    interp._bell_wigner_branches.cache_clear()
     report = agreement_report(scale, shots=1000, seed=11, sampled=sampled)
     assert runs.count("chsh_sampled" if sampled else "chsh_exact") == distinct
     assert runs.count("_friend_branches") == builds
     assert len(runs) == distinct + builds
+    # a second call in the same process reads the cached branches
+    runs.clear()
+    assert agreement_report(scale, shots=1000, seed=11, sampled=sampled) == report
+    assert runs.count("_friend_branches") == 0
+    assert len(runs) == distinct
 
     # oracle: the engine run on every backend's ensemble in turn
     state = bell_wigner_state()
@@ -319,6 +326,20 @@ def test_agreement_runs_the_engine_once_per_distinct_ensemble(monkeypatch, case,
         expected = sampled_run(ensemble, 1000, 11) if sampled else exact(ensemble)
         assert repr(report.backends[name].to_dict()) == repr(expected.to_dict()), name
     assert report.all_equal == (distinct == 1)
+
+
+def test_bell_wigner_state_and_branches_are_built_once():
+    state = bell_wigner_state()
+    assert bell_wigner_state() is state
+    assert not state.amplitudes.flags.writeable
+    cached = _bell_wigner_branches()
+    assert type(cached) is tuple and _bell_wigner_branches() is cached
+    fresh = _friend_branches(state)
+    assert len(cached) == len(fresh) == 4
+    for kept, built in zip(cached, fresh):
+        assert kept.weight.hex() == built.weight.hex()
+        assert kept.label == built.label
+        assert kept.state.amplitudes.tobytes() == built.state.amplitudes.tobytes()
 
 
 def test_branch_document():

@@ -144,23 +144,29 @@ def test_verify_algebra_flags_a_projector_one_ulp_off():
 A1 = make_observable("A1")
 INF_MATRIX = np.array(A1.matrix)
 INF_MATRIX[1, 2] = np.inf
+LARGE_MATRIX = np.array(A1.matrix)
+LARGE_MATRIX[1, 2] = 1e200
 
 
-@pytest.mark.parametrize("broken,failing", [
+@pytest.mark.parametrize("broken,failing,residual", [
     # checks that read A1's spectrum
     (Observable("A1", A1.matrix, ((1.0, np.full((4, 4), np.nan)), *A1.spectrum[1:])),
-     {"spectrum_reconstruction_A1", "spectrum_values_A1", "spectrum_projectors_A1"}),
+     {"spectrum_reconstruction_A1", "spectrum_values_A1", "spectrum_projectors_A1"}, math.nan),
     # checks that read A1's matrix; inf * 0 in a product would warn
     (Observable("A1", INF_MATRIX, A1.spectrum),
      {"A1_squared_support", "commute_A1_B0", "commute_A1_B1", "noncommute_A0_A1",
-      "spectrum_reconstruction_A1"}),
-], ids=["nan_projector", "inf_matrix"])
-def test_verify_algebra_reports_a_non_finite_entry(broken, failing):
+      "spectrum_reconstruction_A1"}, math.nan),
+    # a finite entry whose square overflows in a norm: those norms read inf, and the
+    # inter-side commutators, exactly 0.0, still pass
+    (Observable("A1", LARGE_MATRIX, A1.spectrum),
+     {"A1_squared_support", "noncommute_A0_A1", "spectrum_reconstruction_A1"}, math.inf),
+], ids=["nan_projector", "inf_matrix", "large_entry"])
+def test_verify_algebra_reports_a_non_finite_entry(broken, failing, residual):
     # no exception, and no warning: the suite turns warnings into errors
     checks = checks_by_name(verify_algebra(a1=broken))
     assert {name for name, check in checks.items() if not check.passed} == failing
     for name in failing:
-        assert math.isnan(checks[name].residual)
+        assert repr(checks[name].residual) == repr(residual)
     assert len(checks) == 22
 
 

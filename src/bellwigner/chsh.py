@@ -14,11 +14,12 @@ such as the friends in the photon slots. An ensemble's correlators and
 outcome tables are the Born-weighted averages of its branches'.
 
 The outcome cells of the four setting pairs, the products Pa (x) Pb of the 4x4
-side projectors, are checked once and cached as one read-only real (25, 256)
+side projectors, are checked once and cached as one read-only real (25, 36)
 stack in SETTING_PAIRS order, a setting's cells being a view of its rows: each
 is finite, Hermitian and real, and each setting's cells sum to the identity.
-For a real symmetric cell C, <psi|C|psi> = sum(C * G) over the 256 entries of
-the state's G = Re(psi psi^H) = x x^T + y y^T (x, y = Re psi, Im psi), and an
+Its columns are the 36 of the 256 entries that are nonzero in some cell. For a
+real symmetric cell C, <psi|C|psi> = sum(C * G) over those 36 entries of the
+state's G = Re(psi psi^H) = x x^T + y y^T (x, y = Re psi, Im psi), and an
 ensemble's G is the Born-weighted sum of its branches'. A report reduces the
 whole stack once, a joint table a setting's rows: float64 products and sums,
 with no BLAS call and no fused multiply-add. An exact correlator is the sum of
@@ -144,11 +145,12 @@ def _born_sum(state: StateVector | Sequence, value):
 
 
 @functools.cache
-def _cells() -> tuple[tuple, np.ndarray, np.ndarray, tuple]:
+def _cells() -> tuple[tuple, np.ndarray, np.ndarray, tuple, np.ndarray]:
     """All four setting pairs' cells in SETTING_PAIRS order: (a_value, b_value) pairs,
-    the read-only real (25, 256) stack of the products Pa (x) Pb of the 4x4 side
-    projectors (each entry one product, no sum), flattened, the read-only outcome
-    products a*b, and each pair's (first, end) rows, in the same order.
+    the read-only real (25, 36) stack of the products Pa (x) Pb of the 4x4 side
+    projectors (each entry one product, no sum) at the 36 entries nonzero in some
+    cell, the read-only outcome products a*b, each pair's (first, end) rows, and
+    the read-only (2, 36) (row, column) indices of those entries.
 
     Each cell must be finite, Hermitian and real (imaginary part exactly 0), and each
     pair's cells must sum to the identity; raises ValueError otherwise, caching nothing.
@@ -172,25 +174,29 @@ def _cells() -> tuple[tuple, np.ndarray, np.ndarray, tuple]:
         if residual > DEFAULT_TOL:
             raise ValueError(f"outcome cells of setting ({i}, {j}) sum to the identity "
                              f"only within {residual:.3e}")
-    stack = np.array(cells)
+    columns = np.flatnonzero(np.any(cells, axis=0))
+    stack = np.array([cell[columns] for cell in cells])  # C order: each row sums pairwise
     products = np.array([a_value * b_value for a_value, b_value in outcomes])
-    for array in (stack, products):
+    entries = np.array(np.divmod(columns, 16))
+    for array in (stack, products, entries):
         array.setflags(write=False)
-    return tuple(outcomes), stack, products, tuple(rows)
+    return tuple(outcomes), stack, products, tuple(rows), entries
 
 
 def _outcome_cells(i: int, j: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     """Setting (i, j)'s outcomes, cell stack and outcome products: its rows of ``_cells()``."""
-    outcomes, stack, products, rows = _cells()
+    outcomes, stack, products, rows, _ = _cells()
     first, end = rows[SETTING_PAIRS.index((i, j))]
     return outcomes[first:end], stack[first:end], products[first:end]
 
 
 def _gram(state: StateVector) -> np.ndarray:
-    """G = x x^T + y y^T of a state (x, y = Re psi, Im psi), flattened to 256 entries."""
+    """G = x x^T + y y^T of a state (x, y = Re psi, Im psi) at the cell stack's 36
+    (row, column) pairs: entry x[r]*x[c] + y[r]*y[c], the bits of G's (r, c) entry."""
     psi = _require_full_state(state)
+    r, c = _cells()[4]
     x, y = psi.real, psi.imag
-    return (x[:, None] * x + y[:, None] * y).reshape(256)
+    return x[r] * x[c] + y[r] * y[c]
 
 
 def _table(gram: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -205,7 +211,7 @@ def chsh_exact(state: StateVector | Sequence) -> ChshReport:
     """Exact quantum correlators and S value of a 16-dim state or an ensemble: each
     correlator is sum(a*b * P(a, b)) over the joint table of its Born-weighted G."""
     gram = _born_sum(state, _gram)
-    _, stack, products, rows = _cells()
+    _, stack, products, rows, _ = _cells()
     weighted = products * (stack * gram).sum(axis=1)
     correlators = {pair: float(weighted[first:end].sum())
                    for pair, (first, end) in zip(SETTING_PAIRS, rows)}
@@ -280,7 +286,7 @@ def chsh_sampled(state: StateVector | Sequence, shots_per_setting: int, seed: in
     if shots_per_setting > 2 ** 63 - 1:  # outcome counts are int64
         raise ValueError(f"shots {shots_per_setting} exceeds the bound of 2**63 - 1 per setting")
     gram = _born_sum(state, _gram)
-    _, stack, products, rows = _cells()
+    _, stack, products, rows, _ = _cells()
     table = (stack * gram).sum(axis=1)
     setting_stats = {(i, j): sample_products(table[first:end], products[first:end],
                                              shots_per_setting, (seed, i, j))

@@ -15,7 +15,8 @@ Whatever its source (flag, config or environment), a value meets one check,
 ``_check``: the seed fits in u64, another integer is positive, a number is
 finite, a choice is one of its choices and a path (``out``) is non-empty with
 no NUL byte, and the file system can encode it. Its ``UsageError`` is also
-what argparse reports for a bad flag.
+what argparse reports for a bad flag. ``--key=--`` gives the value ``--`` on
+every Python, as argparse does from 3.13.
 The GRW settings n, t and rate default to the ``--scale`` preset,
 ``ATOM_PARAMS`` or ``INSTRUMENT_PARAMS``.
 Each subcommand is declared once, by ``_command``, which adds its handler to
@@ -126,6 +127,19 @@ def _parse(key: str, text: str, source: str):
     return _check(key, value, source)
 
 
+class _Store(argparse.Action):
+    """Store a flag's value. Python 3.10-3.12 argparse stores [] for ``--key=--`` and
+    never calls the flag's type; read it as the text ``--``, as Python 3.13 does."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            try:
+                values = self.type("--") if self.type else "--"
+            except argparse.ArgumentTypeError as exc:
+                raise argparse.ArgumentError(self, str(exc))
+        setattr(namespace, self.dest, values)
+
+
 _COMMANDS: dict = {}
 
 
@@ -145,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     for key, (options, _, _) in _SETTINGS.items():
         flag_type = functools.partial(_parse, key, source=key)
-        common.add_argument(f"--{key}", type=flag_type, **options)
-    common.add_argument("--config", help="JSON config file with default settings")
+        common.add_argument(f"--{key}", action=_Store, type=flag_type, **options)
+    common.add_argument("--config", action=_Store, help="JSON config file with default settings")
 
     parser = argparse.ArgumentParser(
         prog="bellwigner",

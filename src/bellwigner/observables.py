@@ -196,8 +196,8 @@ def verify_algebra(
     """Run every algebraic identity the observables must satisfy.
 
     Failures are report entries, so corrupted observables can be fed in as
-    negative controls; a check that reads a non-finite entry fails at residual
-    nan, and one whose norm overflows at inf, with no exception or warning.
+    negative controls; a check reading a non-finite entry fails at residual nan,
+    and one whose product or norm overflows at inf, with no exception or warning.
     Both intra-side commutator norms must exceed 0.5; every other check holds
     only at residual 0.0 (``product`` is exact on entries 0, +-1/2, 1):
     setting-0 squares are the identity, setting-1 squares the correlated-support
@@ -212,8 +212,11 @@ def verify_algebra(
     support = _correlated_support()
     checks: list[AlgebraCheck] = []
 
+    def norm(m) -> float:  # a product of finite entries may overflow: frobenius_norm refuses it
+        return frobenius_norm(m) if np.isfinite(m).all() else math.inf
+
     def add(name: str, inputs, residual, passes=lambda r: r == 0.0):
-        with np.errstate(over="ignore", invalid="ignore"):  # a large entry's norm overflows
+        with np.errstate(over="ignore", invalid="ignore"):  # a large entry overflows
             r = float(residual()) if all(np.isfinite(m).all() for m in inputs) else math.nan
         checks.append(AlgebraCheck(name, math.isfinite(r) and bool(passes(r)), r))
 
@@ -223,7 +226,7 @@ def verify_algebra(
         (a1, support, "A1_squared_support"),
         (b1, support, "B1_squared_support"),
     ):
-        add(name, [obs.matrix], lambda: frobenius_norm(product(obs.matrix, obs.matrix) - target))
+        add(name, [obs.matrix], lambda: norm(product(obs.matrix, obs.matrix) - target))
 
     for alice_obs in (a0, a1):
         for bob_obs in (b0, b1):
@@ -238,7 +241,7 @@ def verify_algebra(
         values = tuple(value for value, _ in obs.spectrum)
         projectors = [p for _, p in obs.spectrum]
         add(f"spectrum_reconstruction_{obs.label}", [obs.matrix, values, *projectors],
-            lambda: frobenius_norm(sum(value * p for value, p in obs.spectrum) - obs.matrix))
+            lambda: norm(sum(value * p for value, p in obs.spectrum) - obs.matrix))
 
         expected = _EXPECTED_SPECTRA[obs.label[1]]
         if values != tuple(v for v, _ in expected):
@@ -250,11 +253,11 @@ def verify_algebra(
         def projector_residual():
             worst = 0.0
             for i, p in enumerate(projectors):
-                worst = max(worst, frobenius_norm(product(p, p) - p))
-                worst = max(worst, frobenius_norm(p - p.conj().T))
+                worst = max(worst, norm(product(p, p) - p))
+                worst = max(worst, norm(p - p.conj().T))
                 for q in projectors[i + 1:]:
-                    worst = max(worst, frobenius_norm(product(p, q)))
-            return max(worst, frobenius_norm(sum(projectors) - _I4))
+                    worst = max(worst, norm(product(p, q)))
+            return max(worst, norm(sum(projectors) - _I4))
         add(f"spectrum_projectors_{obs.label}", projectors, projector_residual)
 
     return AlgebraReport(tuple(checks))

@@ -83,9 +83,9 @@ class StateVector:
             )
         if amps.shape[0] not in (2, 4, 16):
             raise ValueError(f"unsupported dimension {amps.shape[0]}")
-        if not np.all(np.isfinite(amps)):
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
-        norm = math.sqrt((amps.view(float) ** 2).sum())  # a ufunc sum: np.linalg.norm is BLAS
+        norm = math.hypot(*amps.view(float).tolist())  # no BLAS, and no square to overflow
         if abs(norm - 1.0) > DEFAULT_TOL:
             raise ValueError(f"state norm {norm!r} is not 1 within {DEFAULT_TOL}")
         amps.setflags(write=False)

@@ -25,7 +25,7 @@ from bellwigner.chsh import (
     sample_setting_products,
 )
 from bellwigner.interpretations import Branch, _friend_branches
-from bellwigner.linalg import expectation
+from bellwigner.linalg import expectation, kron
 from bellwigner.observables import (
     Observable,
     alice_observable,
@@ -389,7 +389,7 @@ def test_one_reduction_of_the_stack_gives_the_per_setting_tables_and_reports_bit
     states = [bell_wigner_state()] + [random_full_state(rng) for _ in range(20)]
     states += [random_full_state(more) for _ in range(1000)]
     sources = states + [_friend_branches(states[1])]
-    _, stack, _, rows = chsh._cells()
+    _, stack, _, rows, _ = chsh._cells()
     assert rows == ((0, 9), (9, 15), (15, 21), (21, 25))
     for n, source in enumerate(sources):
         gram = chsh._born_sum(source, chsh._gram)
@@ -406,15 +406,22 @@ def test_one_reduction_of_the_stack_gives_the_per_setting_tables_and_reports_bit
 
 @pytest.mark.parametrize("pair", SETTING_PAIRS)
 def test_cached_outcome_cells_are_read_only(pair):
-    _, whole, all_products, _ = chsh._cells()
-    assert whole.shape == (25, 256) and all_products.shape == (25,)
+    _, whole, all_products, _, entries = chsh._cells()
+    assert whole.shape == (25, 36) and all_products.shape == (25,) and entries.shape == (2, 36)
     _, stack, products = chsh._outcome_cells(*pair)
     # a setting's cells are views of the one cached stack, not copies
     assert np.shares_memory(stack, whole) and np.shares_memory(products, all_products)
-    for array in (whole, *whole, all_products, stack, *stack, products):
+    for array in (whole, *whole, all_products, stack, *stack, products, entries, *entries):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
+
+
+def scattered(row):
+    """A row of the cached (25, 36) stack as its 16x16 cell, zeros in the dropped entries."""
+    cell = np.zeros((16, 16))
+    cell[tuple(chsh._cells()[4])] = row
+    return cell
 
 
 def test_cached_outcome_cells_equal_the_products_of_the_lifted_projectors():
@@ -426,9 +433,47 @@ def test_cached_outcome_cells_equal_the_products_of_the_lifted_projectors():
                   for _, pb in lifted_spectrum(bob_observable(j))]
         assert len(lifted) == len(stack)
         for cell, reference in zip(stack, lifted):
-            assert np.array_equal(cell.reshape(16, 16), reference)
+            assert np.array_equal(scattered(cell), reference)
             count += 1
     assert count == 25
+
+
+def full_cells():
+    """The (25, 256) stack of the flattened 16x16 cells kron(pa, pb), in SETTING_PAIRS order."""
+    return np.array([kron(pa, pb).real.reshape(256)
+                     for i, j in SETTING_PAIRS
+                     for _, pa in alice_observable(i).spectrum
+                     for _, pb in bob_observable(j).spectrum])
+
+
+def test_the_dropped_entries_are_zero_in_every_cell():
+    _, stack, _, _, entries = chsh._cells()
+    full = full_cells()
+    columns = 16 * entries[0] + entries[1]
+    assert np.array_equal(columns, np.unique(columns))  # 36 distinct flat entries, in order
+    dropped = np.setdiff1d(np.arange(256), columns)
+    assert len(dropped) == 220
+    assert not full[:, dropped].any()
+    assert np.array_equal(full[:, columns], stack)
+    assert np.count_nonzero(stack) == 196
+
+
+def test_random_state_outputs_stay_within_2_3e_16_of_the_256_entry_route():
+    # the reference keeps all 256 entries of G and of each cell: summing the 36 nonzero
+    # ones groups the terms differently, so only the last bits may move
+    full = full_cells()
+    _, _, products, rows, _ = chsh._cells()
+    rng = np.random.default_rng(47)
+    for _ in range(500):
+        state = random_full_state(rng)
+        x, y = state.amplitudes.real, state.amplitudes.imag
+        table = (full * (x[:, None] * x + y[:, None] * y).reshape(256)).sum(axis=1)
+        exact = chsh_exact(state)
+        for (i, j), (first, end) in zip(SETTING_PAIRS, rows):
+            narrowed = [cell.joint_probability for cell in joint_distribution(state, i, j)]
+            assert np.abs(np.subtract(narrowed, table[first:end])).max() <= 2.3e-16
+            reference = (products[first:end] * table[first:end]).sum()
+            assert abs(exact.correlators[(i, j)] - reference) <= 2.3e-16
 
 
 OFF_DIAGONAL = np.zeros((4, 4), dtype=complex)

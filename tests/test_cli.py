@@ -471,12 +471,45 @@ USAGE_ERRORS = {
                    "error: config key 't' must be finite, got inf"),
     "overflow_config": (["classical-bound"], HUGE_FLOAT_CONFIG, None, 2,
                         "error: config key 'n' must be finite, got inf"),
+    # --key=-- gives the value '--' on every Python (3.10-3.12 argparse stores [] for it);
+    # --out=-- is the path '--', tested on its own
+    "seed_dashes": (["chsh-sample", "--seed=--"], None, None, 2,
+                    "bellwigner chsh-sample: error: argument --seed: "
+                    "seed must be an integer, got '--'"),
+    "shots_dashes": (["chsh-sample", "--shots=--"], None, None, 2,
+                     "bellwigner chsh-sample: error: argument --shots: "
+                     "shots must be an integer, got '--'"),
+    "trials_dashes": (["grw-sim", "--trials=--"], None, None, 2,
+                      "bellwigner grw-sim: error: argument --trials: "
+                      "trials must be an integer, got '--'"),
+    "n_dashes": (["grw-prob", "--n=--"], None, None, 2,
+                 "bellwigner grw-prob: error: argument --n: n must be a number, got '--'"),
+    "t_dashes": (["grw-prob", "--t=--"], None, None, 2,
+                 "bellwigner grw-prob: error: argument --t: t must be a number, got '--'"),
+    "rate_dashes": (["grw-sim", "--rate=--"], None, None, 2,
+                    "bellwigner grw-sim: error: argument --rate: rate must be a number, got '--'"),
+    "setting_dashes": (["distribution", "--setting=--"], None, None, 2,
+                       "bellwigner distribution: error: argument --setting: "
+                       "setting must be one of ('00', '01', '10', '11'), got '--'"),
+    "scale_dashes": (["agreement", "--scale=--"], None, None, 2,
+                     "bellwigner agreement: error: argument --scale: "
+                     "scale must be one of ('micro', 'macro'), got '--'"),
+    "format_dashes": (["dump-state", "--format=--"], None, None, 2,
+                      "bellwigner dump-state: error: argument --format: "
+                      "format must be one of ('json', 'csv'), got '--'"),
+    "config_dashes": (["classical-bound", "--config=--"], None, None, 2,
+                      "error: config '--' cannot be read: [Errno 2] "
+                      "No such file or directory: '--'"),
+    "sampled_dashes": (["agreement", "--sampled=--"], None, None, 2,
+                       "bellwigner agreement: error: argument --sampled: "
+                       "ignored explicit argument '--'"),
 }
 
 
 @pytest.mark.parametrize("case", USAGE_ERRORS)
 def test_usage_error_table(capsys, monkeypatch, tmp_path, case):
     argv, config_text, env_seed, expected_status, last_line = USAGE_ERRORS[case]
+    monkeypatch.chdir(tmp_path)  # a relative path such as '--' names nothing there
     argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
     if config_text is not None:
         config = tmp_path / "config.json"
@@ -493,6 +526,15 @@ def test_usage_error_table(capsys, monkeypatch, tmp_path, case):
     assert (status, out) == (expected_status, "")
     assert err.endswith("\n")
     assert err.splitlines()[-1] == last_line.replace("{dir}", str(tmp_path))
+
+
+def test_dashes_out_flag_is_the_path_dashes(capsys, monkeypatch, tmp_path):
+    import bellwigner.cli as cli
+
+    assert cli._resolve(cli.build_parser().parse_args(["chsh-exact", "--out=--"]))["out"] == "--"
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "classical-bound", "--out=--") == (0, "", "")
+    assert (tmp_path / "--").read_text() == '{\n  "classical_max": 2\n}\n'
 
 
 def test_nul_out_is_one_error_line(capsys, tmp_path):

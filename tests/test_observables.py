@@ -146,6 +146,8 @@ INF_MATRIX = np.array(A1.matrix)
 INF_MATRIX[1, 2] = np.inf
 LARGE_MATRIX = np.array(A1.matrix)
 LARGE_MATRIX[1, 2] = 1e200
+OVERFLOW_MATRIX = np.array(A1.matrix)
+OVERFLOW_MATRIX[1, 2] = OVERFLOW_MATRIX[2, 1] = 1e200
 
 
 @pytest.mark.parametrize("broken,failing,residual", [
@@ -160,7 +162,10 @@ LARGE_MATRIX[1, 2] = 1e200
     # inter-side commutators, exactly 0.0, still pass
     (Observable("A1", LARGE_MATRIX, A1.spectrum),
      {"A1_squared_support", "noncommute_A0_A1", "spectrum_reconstruction_A1"}, math.inf),
-], ids=["nan_projector", "inf_matrix", "large_entry"])
+    # two finite entries whose product overflows in A1 @ A1: that square reads inf too
+    (Observable("A1", OVERFLOW_MATRIX, A1.spectrum),
+     {"A1_squared_support", "noncommute_A0_A1", "spectrum_reconstruction_A1"}, math.inf),
+], ids=["nan_projector", "inf_matrix", "large_entry", "overflowed_product"])
 def test_verify_algebra_reports_a_non_finite_entry(broken, failing, residual):
     # no exception, and no warning: the suite turns warnings into errors
     checks = checks_by_name(verify_algebra(a1=broken))

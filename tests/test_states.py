@@ -1,6 +1,7 @@
 """Tests for the state constructors and the fixed basis layout."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,14 @@ def test_state_vector_validation():
         StateVector(("detector",), np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="finite"):
         StateVector(("photon",), np.array([np.inf, 0.0]))
+
+
+def test_a_finite_amplitude_whose_square_overflows_is_one_norm_error():
+    # 1e200 is finite and its square overflows: one ValueError, and no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^state norm 1e\+200 is not 1 within 1e-12$"):
+            StateVector(("photon",), [1e200, 0])
 
 
 def test_amplitudes_are_read_only():

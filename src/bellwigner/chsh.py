@@ -21,12 +21,12 @@ Its columns are the 36 of the 256 entries that are nonzero in some cell. For a
 real symmetric cell C, <psi|C|psi> = sum(C * G) over those 36 entries of the
 state's G = Re(psi psi^H) = x x^T + y y^T (x, y = Re psi, Im psi), and an
 ensemble's G is the Born-weighted sum of its branches'. A report reduces the
-whole stack once, a joint table a setting's rows: float64 products and sums,
-with no BLAS call and no fused multiply-add. An exact correlator is the sum of
-a setting's cells times their outcome products a*b, so an ensemble's exact
-correlators are those of its Born-weighted G, the mixture the sampler draws
-from, and exact correlators, joint tables and sampled outputs have the same
-bits on every CPU. Nothing here calls ``linalg.expectation`` (BLAS).
+whole stack once, a joint table a setting's rows: float64 products and numpy
+row sums, with no BLAS call and no fused multiply-add. A setting's exact
+correlator, sum(a*b * P(a, b)), and its sampled mean and variance are
+``math.fsum`` of a few Python floats, correctly rounded in any order, CPU or
+Python. An ensemble's exact correlators are those of its Born-weighted G, the
+mixture the sampler draws from. Nothing here calls ``linalg.expectation``.
 
 Sampling draws the outcome-cell counts of each setting pair (i, j) at once,
 so time and memory do not grow with the shot count, from a generator seeded
@@ -212,8 +212,8 @@ def chsh_exact(state: StateVector | Sequence) -> ChshReport:
     correlator is sum(a*b * P(a, b)) over the joint table of its Born-weighted G."""
     gram = _born_sum(state, _gram)
     _, stack, products, rows, _ = _cells()
-    weighted = products * (stack * gram).sum(axis=1)
-    correlators = {pair: float(weighted[first:end].sum())
+    weighted = (products * (stack * gram).sum(axis=1)).tolist()
+    correlators = {pair: math.fsum(weighted[first:end])
                    for pair, (first, end) in zip(SETTING_PAIRS, rows)}
     return ChshReport("exact", correlators, s_from_correlators(correlators))
 
@@ -241,12 +241,13 @@ def sample_products(
     total = probs.sum()
     if total <= 0.0:
         raise ValueError("outcome probabilities sum to zero")
-    counts = np.random.default_rng(stream_key).multinomial(shots, probs / total)
-    values = np.asarray(products, dtype=float)
-    # elementwise products and a sum: a BLAS dot's order depends on the CPU
-    mean = float((counts * values).sum()) / shots
-    # sum n (x - m)^2 rather than sum n x^2 - N m^2, which cancels
-    return mean, float((counts * (values - mean) ** 2).sum()) / (shots - 1)
+    counts = np.random.default_rng(stream_key).multinomial(shots, probs / total).tolist()
+    values = np.asarray(products, dtype=float).tolist()
+    # fsum: correctly rounded on any CPU or Python. n (x - m)^2 does not cancel as
+    # n x^2 - N m^2 does; a product, not ** 2, which calls C pow
+    mean = math.fsum([n * x for n, x in zip(counts, values)]) / shots
+    squares = [n * ((x - mean) * (x - mean)) for n, x in zip(counts, values)]
+    return mean, math.fsum(squares) / (shots - 1)
 
 
 def sample_setting_products(
@@ -269,7 +270,8 @@ def report_from_setting_products(
     """
     correlators = {pair: setting_stats[pair][0] for pair in SETTING_PAIRS}
     s_value = s_from_correlators(correlators)
-    standard_error = math.sqrt(sum(setting_stats[pair][1] for pair in SETTING_PAIRS) / shots)
+    variances = functools.reduce(operator.add, (setting_stats[p][1] for p in SETTING_PAIRS))
+    standard_error = math.sqrt(variances / shots)  # sum() compensates from Python 3.12 on
     sigma = (s_value - 2.0) / standard_error if standard_error > 0.0 else None
     return ChshReport(
         "sampled", correlators, s_value,

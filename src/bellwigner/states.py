@@ -83,9 +83,9 @@ class StateVector:
             )
         if amps.shape[0] not in (2, 4, 16):
             raise ValueError(f"unsupported dimension {amps.shape[0]}")
-        if not np.isfinite(amps).all():
-            raise ValueError("amplitudes must be finite")
         norm = math.hypot(*amps.view(float).tolist())  # no BLAS, and no square to overflow
+        if not math.isfinite(norm) and not np.isfinite(amps).all():  # inf may be an overflow
+            raise ValueError("amplitudes must be finite")
         if abs(norm - 1.0) > DEFAULT_TOL:
             raise ValueError(f"state norm {norm!r} is not 1 within {DEFAULT_TOL}")
         amps.setflags(write=False)

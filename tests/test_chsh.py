@@ -24,7 +24,7 @@ from bellwigner.chsh import (
     sample_products,
     sample_setting_products,
 )
-from bellwigner.interpretations import Branch, _friend_branches
+from bellwigner.interpretations import Branch, _bell_wigner_branches, _friend_branches
 from bellwigner.linalg import expectation, kron
 from bellwigner.observables import (
     Observable,
@@ -340,6 +340,41 @@ def test_sample_products_floor_has_the_bits_of_clip():
     assert [x.hex() for x in floored.tolist()] == [x.hex() for x in clipped.tolist()]
 
 
+def test_a_sum_with_no_nonzero_term_is_positive_zero():
+    # math.fsum gives 0.0, as numpy's sums do, where a sum started from its first term
+    # would keep the -0.0 of 0 * -1.0 and 1000 * -0.0
+    mean, variance = sample_products(np.array([0.0, 1.0]), np.array([-1.0, -0.0]), 1000, (0, 1, 1))
+    assert (repr(mean), repr(variance)) == ("0.0", "0.0")
+    state = StateVector(FULL_LAYOUT, np.eye(16)[0])  # |h, F_h, h, F_h>
+    terms = (chsh._outcome_cells(1, 1)[2] * chsh._table(chsh._gram(state), 1, 1)).tolist()
+    assert len(terms) == 9 and not any(terms)
+    assert any(math.copysign(1.0, term) < 0.0 for term in terms)
+    assert repr(chsh_exact(state).correlators[(1, 1)]) == "0.0"
+
+
+def compensated_sum(values):
+    """Built-in sum() of floats from Python 3.12 on: Neumaier's compensated summation."""
+    total = compensation = 0.0
+    for x in values:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+@pytest.mark.parametrize("source, seed", [(bell_wigner_state, 42), (_bell_wigner_branches, 11)])
+def test_the_standard_error_adds_the_four_variances_left_to_right(source, seed):
+    # the variances of `chsh-sample --shots 1000 --seed 42` and of `agreement --scale macro
+    # --sampled --shots 1000 --seed 11`, whose compensated sum rounds the other way: the
+    # golden standard errors hold on every Python only if the sum is left to right
+    report = chsh_sampled(source(), 1000, seed)
+    var_11, var_10, var_01, var_00 = (sample_setting_products(source(), *pair, 1000, seed)[1]
+                                      for pair in SETTING_PAIRS)
+    left_to_right = var_11 + var_10 + var_01 + var_00
+    assert compensated_sum([var_11, var_10, var_01, var_00]) != left_to_right
+    assert report.standard_error == math.sqrt(left_to_right / 1000)
+
+
 def expectation_table(state, i, j):
     """Setting (i, j)'s joint probabilities, one ``linalg.expectation`` of Pa@Pb per cell."""
     return [expectation(state.amplitudes, pa @ pb)
@@ -379,7 +414,13 @@ def test_tables_are_within_1e_15_of_the_per_cell_expectation_route():
 
 
 def per_setting_correlator(gram, i, j):
-    """The reference: setting (i, j)'s correlator from its own table, one reduction each."""
+    """The reference: setting (i, j)'s correlator from its own table, one correctly
+    rounded sum of its terms a*b * P(a, b) each."""
+    return math.fsum((chsh._outcome_cells(i, j)[2] * chsh._table(gram, i, j)).tolist())
+
+
+def numpy_setting_correlator(gram, i, j):
+    """The former route: a numpy sum of the same terms, which groups them in its own order."""
     return float((chsh._outcome_cells(i, j)[2] * chsh._table(gram, i, j)).sum())
 
 
@@ -399,6 +440,7 @@ def test_one_reduction_of_the_stack_gives_the_per_setting_tables_and_reports_bit
         for (i, j), (first, end) in zip(SETTING_PAIRS, rows):
             assert table[first:end].tobytes() == chsh._table(gram, i, j).tobytes()
             assert exact.correlators[(i, j)].hex() == per_setting_correlator(gram, i, j).hex()
+            assert abs(exact.correlators[(i, j)] - numpy_setting_correlator(gram, i, j)) <= 2.3e-16
         serial = {pair: sample_setting_products(source, *pair, 1000, n) for pair in SETTING_PAIRS}
         # repr round-trips every float, so equal reprs mean equal bits
         assert repr(sampled) == repr(report_from_setting_products(serial, 1000))

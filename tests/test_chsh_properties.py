@@ -6,6 +6,7 @@ table of an ensemble is its Born-weighted sum of branch tables.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -119,7 +120,8 @@ def outcome_tables(draw):
     size = draw(st.integers(1, 9))
     probabilities = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
     assume(probabilities.sum() > 0.0)
-    products = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=size, max_size=size))
+    products = draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0]), min_size=size,
+                             max_size=size))
     return probabilities, np.array(products)
 
 
@@ -129,8 +131,12 @@ def outcome_tables(draw):
 def test_counts_give_the_statistics_of_the_shots_they_count(outcome_table, shots, seed, pair):
     p, products = outcome_table
     key = (seed, *pair)
-    shots_drawn = np.repeat(products, np.random.default_rng(key).multinomial(shots, p / p.sum()))
+    counts = np.random.default_rng(key).multinomial(shots, p / p.sum())
+    shots_drawn = np.repeat(products, counts)
     mean, variance = sample_products(p, products, shots, key)
+    # the exact mean of the counted products, correctly rounded; a zero mean is 0.0
+    exact_mean = Fraction(sum(int(n) * int(x) for n, x in zip(counts, products)), shots)
+    assert repr(mean) == repr(float(exact_mean))
     assert abs(mean - np.mean(shots_drawn)) <= 1e-12
     assert abs(variance - np.var(shots_drawn, ddof=1)) <= 1e-12
 

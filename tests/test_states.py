@@ -1,6 +1,7 @@
 """Tests for the state constructors and the fixed basis layout."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -141,6 +142,27 @@ def test_a_finite_amplitude_whose_square_overflows_is_one_norm_error():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^state norm 1e\+200 is not 1 within 1e-12$"):
             StateVector(("photon",), [1e200, 0])
+
+
+@pytest.mark.parametrize("amplitudes", [
+    [math.nan, 1.0], [-math.inf, 0.0], [math.nan, math.inf], [complex(1.0, math.nan), 0.0],
+])
+def test_non_finite_amplitudes_are_refused_whatever_their_norm(amplitudes):
+    # the norm is nan or inf, and only then are the amplitudes scanned
+    with pytest.raises(ValueError, match=r"^amplitudes must be finite$"):
+        StateVector(("photon",), amplitudes)
+
+
+@pytest.mark.parametrize("amplitudes, norm", [
+    ([1e308, 1e308], "1.4142135623730951e+308"), ([1.5e308, 1.5e308], "inf"),
+])
+def test_finite_amplitudes_of_a_huge_norm_are_one_norm_error(amplitudes, norm):
+    # finite amplitudes whose norm is finite or overflows to inf: a norm error either way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = rf"^state norm {re.escape(norm)} is not 1 within 1e-12$"
+        with pytest.raises(ValueError, match=message):
+            StateVector(("photon",), amplitudes)
 
 
 def test_amplitudes_are_read_only():

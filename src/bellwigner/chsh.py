@@ -16,7 +16,8 @@ outcome tables are the Born-weighted averages of its branches'.
 The outcome cells of the four setting pairs, the products Pa (x) Pb of the 4x4
 side projectors, are checked once and cached as one read-only real (25, 36)
 stack in SETTING_PAIRS order, a setting's cells being a view of its rows: each
-is finite, Hermitian and real, and each setting's cells sum to the identity.
+is finite and Hermitian (real, as its projectors are), and each setting's
+cells sum to the identity.
 Its columns are the 36 of the 256 entries that are nonzero in some cell. For a
 real symmetric cell C, <psi|C|psi> = sum(C * G) over those 36 entries of the
 state's G = Re(psi psi^H) = x x^T + y y^T (x, y = Re psi, Im psi), and an
@@ -152,7 +153,7 @@ def _cells() -> tuple[tuple, np.ndarray, np.ndarray, tuple, np.ndarray]:
     cell, the read-only outcome products a*b, each pair's (first, end) rows, and
     the read-only (2, 36) (row, column) indices of those entries.
 
-    Each cell must be finite, Hermitian and real (imaginary part exactly 0), and each
+    Each cell, real because its projectors are, must be finite and Hermitian, and each
     pair's cells must sum to the identity; raises ValueError otherwise, caching nothing.
     """
     outcomes, cells, rows = [], [], []
@@ -164,11 +165,8 @@ def _cells() -> tuple[tuple, np.ndarray, np.ndarray, tuple, np.ndarray]:
                 if not is_hermitian(cell):
                     raise ValueError(f"outcome cell ({a_value}, {b_value}) of setting ({i}, {j}) "
                                      "is not Hermitian")
-                if cell.imag.any():
-                    raise ValueError(f"outcome cell ({a_value}, {b_value}) of setting ({i}, {j}) "
-                                     "is not real")
                 outcomes.append((a_value, b_value))
-                cells.append(cell.real.reshape(256))
+                cells.append(cell.reshape(256))
         rows.append((first, len(cells)))
         residual = frobenius_norm(np.sum(cells[first:], axis=0).reshape(16, 16) - np.eye(16))
         if residual > DEFAULT_TOL:

@@ -1,18 +1,19 @@
-"""Dense complex linear algebra for small Hilbert spaces (dims 2, 4, 16).
+"""Dense real linear algebra for small Hilbert spaces (dims 2, 4, 16).
 
-Everything works on plain ``complex128`` numpy arrays. Storage is dense and
-there is no eigensolver: every spectral decomposition in this package is
-written down analytically. ``DEFAULT_TOL``, the absolute 1e-12, is the
-package's one tolerance; only the branch-weight floor and the GRW rate floor
-differ from it. All functions are pure; nothing here mutates its arguments. A
-state is checked once, when its ``StateVector`` is built; ``expectation``
-trusts it and checks the operator. No package code calls ``expectation``: its
-BLAS calls (zgemv, zdotc) may round differently from one CPU to another, and
-it is the tests' reference route (the bench rebinds ``chsh.expectation``).
-Every other matrix product in the package is ``product`` and every operator
-norm ``frobenius_norm``: float64 products and ufunc sums, with no BLAS call and
-no fused multiply-add, so the same bits on every CPU. Joint tables and exact
-correlators are not computed here: ``chsh`` reduces them from real cell stacks.
+Operators are real ``float64`` arrays (``as_real`` refuses a nonzero imaginary
+part); states stay complex. Storage is dense and there is no eigensolver:
+every spectral decomposition in this package is written down analytically.
+``DEFAULT_TOL``, the absolute 1e-12, is the package's one tolerance; only the
+branch-weight floor and the GRW rate floor differ from it. All functions are
+pure; nothing here mutates its arguments. A state is checked once, when its
+``StateVector`` is built; ``expectation`` trusts it and checks the operator. No
+package code calls ``expectation``: its BLAS calls (zgemv, zdotc) may round
+differently from one CPU to another, and it is the tests' reference route (the
+bench rebinds ``chsh.expectation``). Every other matrix product in the package
+is ``product`` and every operator norm ``frobenius_norm``: float64 products and
+ufunc sums, with no BLAS call and no fused multiply-add, so the same bits on
+every CPU. Joint tables and exact correlators are not computed here: ``chsh``
+reduces them from real cell stacks.
 """
 
 from __future__ import annotations
@@ -22,9 +23,17 @@ import numpy as np
 DEFAULT_TOL = 1e-12
 
 
+def as_real(m) -> np.ndarray:
+    """A float64 copy of ``m``, refusing a nonzero imaginary part; finiteness is not checked."""
+    a = np.asarray(m)
+    if np.iscomplexobj(a) and a.imag.any():
+        raise ValueError("operator is not real: an entry has a nonzero imaginary part")
+    return np.array(a.real, dtype=float)
+
+
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a finite, non-empty complex 2-D array, raising ValueError otherwise."""
-    a = np.asarray(m, dtype=complex)
+    """Coerce to a finite, non-empty real 2-D array, raising ValueError otherwise."""
+    a = as_real(m)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim={a.ndim}")
     if 0 in a.shape:
@@ -36,7 +45,7 @@ def as_matrix(m) -> np.ndarray:
 
 def frobenius_norm(m) -> float:
     a = as_matrix(m)
-    return float(np.sqrt((a.real * a.real + a.imag * a.imag).sum()))
+    return float(np.sqrt((a * a).sum()))
 
 
 def kron(a, b) -> np.ndarray:
@@ -46,18 +55,16 @@ def kron(a, b) -> np.ndarray:
 
 def is_hermitian(m) -> bool:
     a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return frobenius_norm(a - a.conj().T) <= DEFAULT_TOL
+    return a.shape[0] == a.shape[1] and frobenius_norm(a - a.T) <= DEFAULT_TOL
 
 
 def expectation(psi, m) -> float:
-    """Real expectation value <psi| m |psi> of a Hermitian matrix.
+    """Real expectation value <psi| m |psi> of a real symmetric matrix.
 
     ``psi`` must be a finite, normalized 1-D array, such as the amplitudes
     of a ``StateVector``, which checked both when it was built; it is not
     checked again here. Raises ValueError on dimension mismatch or a
-    non-finite or non-Hermitian matrix. The imaginary residue of the
+    non-finite, non-real or non-symmetric matrix. The imaginary residue of the
     quadratic form is required to stay below 1e-12. No package code calls it:
     it is the tests' BLAS reference route, and the bench rebinds ``chsh.expectation``.
     """
@@ -74,17 +81,10 @@ def expectation(psi, m) -> float:
 
 
 def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b from float64 products and sums of the real and imaginary parts.
+    """a @ b from float64 products and a numpy sum, exact on entries 0, +-1/2, 1.
 
-    Not ``a @ b``: BLAS zgemm, and numpy's SIMD complex multiply too, may fuse a
-    multiply-add or reorder a sum depending on the CPU. Exact on entries 0, +-1/2, 1.
-    """
-    ar, ai = a.real[:, :, None], a.imag[:, :, None]
-    br, bi = b.real, b.imag
-    out = np.empty(a.shape, dtype=complex)
-    out.real = (ar * br - ai * bi).sum(axis=1)
-    out.imag = (ar * bi + ai * br).sum(axis=1)
-    return out
+    Not ``a @ b``: BLAS dgemm may fuse a multiply-add or reorder a sum by CPU."""
+    return (a[:, :, None] * b).sum(axis=1)
 
 
 def commutator_norm(m, n) -> float:
@@ -95,8 +95,7 @@ def commutator_norm(m, n) -> float:
     and sums commute, so the products are bitwise equal and the result is
     exactly 0.0, not merely small, on every CPU.
     """
-    a = as_matrix(m)
-    b = as_matrix(n)
+    a, b = as_matrix(m), as_matrix(n)
     if a.shape[0] != a.shape[1] or a.shape != b.shape:
         raise ValueError(f"commutator needs equal square matrices, got {a.shape} and {b.shape}")
     return frobenius_norm(product(a, b) - product(b, a))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import commutator_norm, frobenius_norm, kron, product
+from .linalg import as_real, commutator_norm, frobenius_norm, kron, product
 from .states import basis_index
 
 ALICE = "alice"
@@ -24,20 +24,21 @@ BOB = "bob"
 OBSERVABLE_LABELS = ("A0", "A1", "B0", "B1")
 
 _SIDE_SUBSYSTEMS = ("photon", "friend")
-_I2 = np.eye(2, dtype=complex)
-_I4 = np.eye(4, dtype=complex)
+_I2 = np.eye(2)
+_I4 = np.eye(4)
 
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """A 4x4 Hermitian observable together with its outcome spectrum.
+    """A 4x4 real symmetric observable together with its outcome spectrum.
 
     ``label`` is one of OBSERVABLE_LABELS, and its first letter names the
     side: A for Alice, B for Bob. ``spectrum`` is a tuple of (outcome value,
     projector) pairs; the matrix must equal the value-weighted projector sum.
-    Construction only checks the label and shapes: algebraic properties are
-    the business of :func:`verify_algebra`, which has to be able to inspect
-    deliberately broken instances.
+    Construction stores the matrix and projectors as float64, refusing a
+    nonzero imaginary part, and checks the label and shapes: algebraic
+    properties are the business of :func:`verify_algebra`, which has to be
+    able to inspect deliberately broken instances.
     """
 
     label: str
@@ -47,13 +48,13 @@ class Observable:
     def __post_init__(self):
         if self.label not in OBSERVABLE_LABELS:
             raise ValueError(f"unknown observable label {self.label!r}")
-        matrix = np.array(self.matrix, dtype=complex)
+        matrix = as_real(self.matrix)
         if matrix.shape != (4, 4):
             raise ValueError(f"observable matrix must be 4x4, got {matrix.shape}")
         matrix.setflags(write=False)
         spectrum = []
         for value, projector in self.spectrum:
-            p = np.array(projector, dtype=complex)
+            p = as_real(projector)
             if p.shape != (4, 4):
                 raise ValueError(f"spectral projector must be 4x4, got {p.shape}")
             p.setflags(write=False)
@@ -67,7 +68,7 @@ class Observable:
 
     def to_dict(self) -> dict:
         def entries(m):
-            return [[[z.real, z.imag] for z in row] for row in m]
+            return [[[x, 0.0] for x in row] for row in m]
 
         return {
             "label": self.label,
@@ -81,15 +82,15 @@ class Observable:
 
 
 def _side_ket(photon: str, friend: str) -> np.ndarray:
-    ket = np.zeros(4, dtype=complex)
+    ket = np.zeros(4)
     ket[basis_index(_SIDE_SUBSYSTEMS, (photon, friend))] = 1.0
     return ket
 
 
 def _friend_readout(label: str) -> Observable:
     """Setting-0 observable: friend record F_v counts +1, F_h counts -1."""
-    p_fv = kron(_I2, np.diag([0.0, 1.0]).astype(complex))
-    p_fh = kron(_I2, np.diag([1.0, 0.0]).astype(complex))
+    p_fv = kron(_I2, np.diag([0.0, 1.0]))
+    p_fh = kron(_I2, np.diag([1.0, 0.0]))
     return Observable(label, p_fv - p_fh, ((+1.0, p_fv), (-1.0, p_fh)))
 
 
@@ -184,7 +185,7 @@ def _correlated_support() -> np.ndarray:
     """|h,F_v><h,F_v| + |v,F_h><v,F_h|, the square of a setting-1 observable."""
     k1 = _side_ket("h", "F_v")
     k2 = _side_ket("v", "F_h")
-    return np.outer(k1, k1.conj()) + np.outer(k2, k2.conj())
+    return np.outer(k1, k1) + np.outer(k2, k2)
 
 
 def verify_algebra(
@@ -198,7 +199,8 @@ def verify_algebra(
     Failures are report entries, so corrupted observables can be fed in as
     negative controls; a check reading a non-finite entry fails at residual nan,
     and one whose product or norm overflows at inf, with no exception or warning.
-    Both intra-side commutator norms must exceed 0.5; every other check holds
+    Both intra-side commutator norms must exceed 0.5; each is twice the 4x4 factors',
+    as [X (x) I4, Y (x) I4] = [X, Y] (x) I4 and ||Z (x) I4|| = 2 ||Z||. Every other check holds
     only at residual 0.0 (``product`` is exact on entries 0, +-1/2, 1):
     setting-0 squares are the identity, setting-1 squares the correlated-support
     projector, the four inter-side commutators vanish, and each spectrum
@@ -235,7 +237,7 @@ def verify_algebra(
 
     for first, second in ((a0, a1), (b0, b1)):
         add(f"noncommute_{first.label}_{second.label}", [first.matrix, second.matrix],
-            lambda: commutator_norm(lift(first), lift(second)), lambda r: r > 0.5)
+            lambda: 2.0 * commutator_norm(first.matrix, second.matrix), lambda r: r > 0.5)
 
     for obs in (a0, a1, b0, b1):
         values = tuple(value for value, _ in obs.spectrum)
@@ -248,13 +250,13 @@ def verify_algebra(
             checks.append(AlgebraCheck(f"spectrum_values_{obs.label}", False, 1.0))
         else:
             add(f"spectrum_values_{obs.label}", projectors, lambda: max(
-                abs(np.trace(p).real - rank) for p, (_, rank) in zip(projectors, expected)))
+                abs(np.trace(p) - rank) for p, (_, rank) in zip(projectors, expected)))
 
         def projector_residual():
             worst = 0.0
             for i, p in enumerate(projectors):
                 worst = max(worst, norm(product(p, p) - p))
-                worst = max(worst, norm(p - p.conj().T))
+                worst = max(worst, norm(p - p.T))
                 for q in projectors[i + 1:]:
                     worst = max(worst, norm(product(p, q)))
             return max(worst, norm(sum(projectors) - _I4))

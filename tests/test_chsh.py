@@ -482,7 +482,7 @@ def test_cached_outcome_cells_equal_the_products_of_the_lifted_projectors():
 
 def full_cells():
     """The (25, 256) stack of the flattened 16x16 cells kron(pa, pb), in SETTING_PAIRS order."""
-    return np.array([kron(pa, pb).real.reshape(256)
+    return np.array([kron(pa, pb).reshape(256)
                      for i, j in SETTING_PAIRS
                      for _, pa in alice_observable(i).spectrum
                      for _, pb in bob_observable(j).spectrum])
@@ -530,7 +530,8 @@ BROKEN_SPECTRA = {
     "not Hermitian": lambda s: (
         (s[0][0], s[0][1] + OFF_DIAGONAL), (s[1][0], s[1][1] - OFF_DIAGONAL), *s[2:]),
     "matrix entries must be finite": lambda s: ((s[0][0], np.full((4, 4), np.nan)), *s[1:]),
-    # the cells still sum to the identity and are Hermitian, but two are complex
+    # Hermitian projectors that sum to the identity, but two are complex: the edited
+    # Observable refuses them, before any cell is built
     "not real": lambda s: (
         (s[0][0], s[0][1] + IMAGINARY), (s[1][0], s[1][1] - IMAGINARY), *s[2:]),
     # Hermitian cells that miss half of one projector

@@ -1,4 +1,4 @@
-"""Tests for the dense complex linear algebra helpers."""
+"""Tests for the dense real linear algebra helpers."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bellwigner.linalg import (
+    as_matrix,
     commutator_norm,
     expectation,
     frobenius_norm,
@@ -21,7 +22,7 @@ def kron_oracle(a, b):
     """Brute-force Kronecker product via the index definition."""
     ra, ca = a.shape
     rb, cb = b.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=complex)
+    out = np.zeros((ra * rb, ca * cb))
     for i in range(ra):
         for j in range(ca):
             for k in range(rb):
@@ -40,15 +41,12 @@ def test_kron_diagonal():
 
 
 def test_kron_matches_index_oracle():
-    # vectorized complex multiplication may use FMA, so entries can differ
-    # from scalar products by one ulp; compare at an ulp-scaled tolerance
-    eps = np.finfo(float).eps
+    # each entry of a real kron is one rounded product, so the match is exact
     rng = np.random.default_rng(11)
     for _ in range(20):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        scale = np.kron(np.abs(a), np.abs(b))
-        assert (np.abs(kron(a, b) - kron_oracle(a, b)) <= 8 * eps * scale).all()
+        a = rng.normal(size=(2, 2))
+        b = rng.normal(size=(2, 2))
+        assert np.array_equal(kron(a, b), kron_oracle(a, b))
 
 
 def test_kron_associative_on_integer_matrices():
@@ -88,10 +86,11 @@ def test_expectation_identity_is_one():
 
 
 def test_expectation_real_for_random_hermitian():
+    # a real symmetric operator on a complex state
     rng = np.random.default_rng(37)
     for _ in range(50):
-        r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = r + r.conj().T
+        r = rng.normal(size=(4, 4))
+        h = r + r.T
         z = rng.normal(size=4) + 1j * rng.normal(size=4)
         z /= np.linalg.norm(z)
         value = expectation(z, h)
@@ -112,15 +111,15 @@ def test_expectation_rejects_non_hermitian():
 
 def test_commutator_self_is_zero():
     rng = np.random.default_rng(2)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m = rng.normal(size=(4, 4))
     assert commutator_norm(m, m) == 0.0
 
 
 def test_commutator_of_disjoint_factors_exactly_zero():
     rng = np.random.default_rng(3)
     for _ in range(25):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        n = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m = rng.normal(size=(4, 4))
+        n = rng.normal(size=(4, 4))
         assert commutator_norm(kron(m, I4), kron(I4, n)) == 0.0
 
 
@@ -144,3 +143,11 @@ def test_rejects_nonfinite_entries():
     bad = np.array([[np.nan, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="finite"):
         frobenius_norm(bad)
+
+
+def test_as_matrix_refuses_a_nonzero_imaginary_part_and_accepts_a_zero_one():
+    with pytest.raises(ValueError, match="not real"):
+        as_matrix(np.array([[1.0, 1e-300j], [0.0, 1.0]]))
+    accepted = as_matrix(np.array([[1.0, -0.5], [-0.5, 0.0]], dtype=complex))
+    assert accepted.dtype == np.float64
+    assert np.array_equal(accepted, [[1.0, -0.5], [-0.5, 0.0]])

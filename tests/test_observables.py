@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from bellwigner import chsh
 from bellwigner.linalg import commutator_norm, expectation
 from bellwigner.observables import (
+    OBSERVABLE_LABELS,
     Observable,
     lift,
     lifted_spectrum,
@@ -136,9 +138,11 @@ def test_verify_algebra_flags_a_projector_one_ulp_off():
     row, col = np.argwhere(moved.real == 0.5)[0]
     moved[row, col] = np.nextafter(0.5, 1.0)
     report = verify_algebra(a1=Observable("A1", good.matrix, ((value, moved), *rest)))
-    check = checks_by_name(report)["spectrum_projectors_A1"]
-    assert not check.passed
-    assert 0.0 < check.residual < 1e-15
+    checks = checks_by_name(report)
+    assert {name: check.residual for name, check in checks.items() if not check.passed} == {
+        "spectrum_reconstruction_A1": 1.1102230246251565e-16,
+        "spectrum_projectors_A1": 7.850462293418876e-17,
+    }
 
 
 A1 = make_observable("A1")
@@ -191,7 +195,10 @@ def test_verify_algebra_flags_identity_observables():
     report = verify_algebra(a0=identity, b0=identity_b)
     checks = checks_by_name(report)
     assert checks["commute_A0_B0"].passed  # trivially zero
-    assert not checks["noncommute_A0_A1"].passed
+    assert {name: check.residual for name, check in checks.items() if not check.passed} == {
+        "noncommute_A0_A1": 0.0, "noncommute_B0_B1": 0.0,
+        "spectrum_values_A0": 1.0, "spectrum_values_B0": 1.0,
+    }
     assert not report.all_passed
 
 
@@ -200,3 +207,60 @@ def test_report_document_shape():
     assert doc["all_passed"] is True
     assert {"name", "passed", "residual"} == set(doc["checks"][0])
     assert len(doc["checks"]) == 22
+
+
+@pytest.mark.parametrize("given", [np.array, np.ndarray.tolist], ids=["ndarray", "list"])
+@pytest.mark.parametrize("where", ["matrix", "projector"])
+def test_observable_refuses_an_operator_that_is_not_real(given, where):
+    # a ValueError, never a TypeError or a ComplexWarning (the suite turns warnings into errors)
+    imaginary = np.array(I4)
+    imaginary[0, 1], imaginary[1, 0] = 0.5j, -0.5j  # Hermitian, but not real
+    matrix, projector = (imaginary, I4) if where == "matrix" else (I4, imaginary)
+    with pytest.raises(ValueError, match="not real"):
+        Observable("A0", given(matrix), ((1.0, given(projector)),))
+
+
+def test_observable_stores_a_copy_as_float64_when_every_imaginary_part_is_zero():
+    real = np.eye(4)
+    obs = Observable("A0", I4, ((1.0, I4.tolist()), (0.0, real)))
+    for array in (obs.matrix, *(p for _, p in obs.spectrum)):
+        assert array.dtype == np.float64 and not array.flags.writeable
+        assert np.array_equal(array, real)
+    assert real.flags.writeable  # the caller's array is copied, not frozen
+
+
+def test_every_operator_the_package_builds_is_float64():
+    operators = [chsh._cells()[1]]
+    for label in OBSERVABLE_LABELS:
+        obs = make_observable(label)
+        operators += [obs.matrix, lift(obs)]
+        operators += [p for _, p in obs.spectrum] + [p for _, p in lifted_spectrum(obs)]
+    assert len(operators) == 1 + 4 * 2 + 2 * (2 + 2 + 3 + 3)
+    assert all(operator.dtype == np.float64 for operator in operators)
+
+
+def noncommute_residuals(x, y):
+    """(residual, lifted norm) of both noncommute checks, with x and y as each side's
+    settings 0 and 1: verify_algebra's residual next to the 16x16 commutator norm."""
+    a0, a1, b0, b1 = (Observable(label, m, ((1.0, I4),))
+                      for label, m in zip(OBSERVABLE_LABELS, (x, y, x, y)))
+    checks = checks_by_name(verify_algebra(a0, a1, b0, b1))
+    return [(checks[f"noncommute_{f.label}_{s.label}"].residual, commutator_norm(lift(f), lift(s)))
+            for f, s in ((a0, a1), (b0, b1))]
+
+
+def test_noncommute_residual_is_the_lifted_commutator_norm():
+    # ||[X (x) I4, Y (x) I4]|| = 2 ||[X, Y]||, bit for bit where every sum of squares is
+    # exact: the built-ins (entries 0, +-1/2, 1) and integer entries
+    builtins = [make_observable(label).matrix for label in ("A0", "A1")]
+    assert noncommute_residuals(*builtins) == [(5.656854249492381, 5.656854249492381)] * 2
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        x, y = (m + m.T for m in rng.integers(-4, 5, size=(2, 4, 4)).astype(float))
+        for residual, lifted in noncommute_residuals(x, y):
+            assert residual == lifted
+    # Gaussian entries: the 4x4 and 16x16 norms sum their squares in different orders
+    for _ in range(10):
+        x, y = (m + m.T for m in rng.normal(size=(2, 4, 4)))
+        for residual, lifted in noncommute_residuals(x, y):
+            assert abs(residual - lifted) <= 2 * np.spacing(lifted)

@@ -15,19 +15,20 @@ outcome tables are the Born-weighted averages of its branches'.
 
 The outcome cells of the four setting pairs, the products Pa (x) Pb of the 4x4
 side projectors, are checked once and cached as one read-only real (25, 36)
-stack in SETTING_PAIRS order, a setting's cells being a view of its rows: each
+stack in SETTING_PAIRS order, with the slice of each setting's rows: each cell
 is finite and Hermitian (real, as its projectors are), and each setting's
 cells sum to the identity.
 Its columns are the 36 of the 256 entries that are nonzero in some cell. For a
 real symmetric cell C, <psi|C|psi> = sum(C * G) over those 36 entries of the
 state's G = Re(psi psi^H) = x x^T + y y^T (x, y = Re psi, Im psi), and an
-ensemble's G is the Born-weighted sum of its branches'. A report reduces the
-whole stack once, a joint table a setting's rows: float64 products and numpy
-row sums, with no BLAS call and no fused multiply-add. A setting's exact
-correlator, sum(a*b * P(a, b)), and its sampled mean and variance are
-``math.fsum`` of a few Python floats, correctly rounded in any order, CPU or
-Python. An ensemble's exact correlators are those of its Born-weighted G, the
-mixture the sampler draws from. Nothing here calls ``linalg.expectation``.
+ensemble's G is the Born-weighted sum of its branches'. Each call reduces the
+whole stack once, float64 products and numpy row sums with no BLAS call and no
+fused multiply-add, to one (25,) table of joint probabilities, which reports,
+joint tables and samples slice. A setting's exact correlator, sum(a*b * P(a, b)),
+and its sampled mean and variance are ``math.fsum`` of a few Python floats,
+correctly rounded in any order, CPU or Python. So an ensemble's tables and exact
+correlators are those of the mixture the sampler draws from. Nothing here calls
+``linalg.expectation``.
 
 Sampling draws the outcome-cell counts of each setting pair (i, j) at once,
 so time and memory do not grow with the shot count, from a generator seeded
@@ -43,6 +44,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -119,44 +121,18 @@ class ChshReport:
         }
 
 
-def _require_full_state(state: StateVector) -> np.ndarray:
-    if state.subsystems != FULL_LAYOUT:
-        raise ValueError(
-            f"CHSH engine needs the 16-dim state over {FULL_LAYOUT}, got {state.subsystems}")
-    return state.amplitudes
-
-
-def _born_sum(state: StateVector | Sequence, value):
-    """Born-weighted sum of ``value(branch.state)`` over an ensemble.
-
-    A bare state is the ensemble of itself with weight 1, whose sum is
-    ``value(state)`` bit for bit; an ensemble's weights must be non-negative
-    and sum to 1 within 1e-12. The sum starts from the first term, not from
-    0.0, which would turn a -0.0 into 0.0.
-    """
-    if isinstance(state, StateVector):
-        return value(state)
-    if any(branch.weight < 0.0 for branch in state):
-        raise ValueError("ensemble weights must be non-negative")
-    total = math.fsum(branch.weight for branch in state)
-    if not abs(total - 1.0) <= DEFAULT_TOL:  # written so that a nan total fails
-        raise ValueError(f"ensemble weights sum to {total!r}, not 1")
-    terms = [branch.weight * value(branch.state) for branch in state]
-    return sum(terms[1:], terms[0])
-
-
 @functools.cache
-def _cells() -> tuple[tuple, np.ndarray, np.ndarray, tuple, np.ndarray]:
+def _cells() -> tuple[tuple, np.ndarray, np.ndarray, MappingProxyType, np.ndarray]:
     """All four setting pairs' cells in SETTING_PAIRS order: (a_value, b_value) pairs,
     the read-only real (25, 36) stack of the products Pa (x) Pb of the 4x4 side
     projectors (each entry one product, no sum) at the 36 entries nonzero in some
-    cell, the read-only outcome products a*b, each pair's (first, end) rows, and
-    the read-only (2, 36) (row, column) indices of those entries.
+    cell, the read-only outcome products a*b, a read-only map from each pair (i, j) to
+    the slice of its rows, and the read-only (2, 36) (row, column) indices of those entries.
 
     Each cell, real because its projectors are, must be finite and Hermitian, and each
     pair's cells must sum to the identity; raises ValueError otherwise, caching nothing.
     """
-    outcomes, cells, rows = [], [], []
+    outcomes, cells, rows = [], [], {}
     for i, j in SETTING_PAIRS:
         first = len(cells)
         for a_value, pa in alice_observable(i).spectrum:
@@ -167,7 +143,7 @@ def _cells() -> tuple[tuple, np.ndarray, np.ndarray, tuple, np.ndarray]:
                                      "is not Hermitian")
                 outcomes.append((a_value, b_value))
                 cells.append(cell.reshape(256))
-        rows.append((first, len(cells)))
+        rows[i, j] = slice(first, len(cells))
         residual = frobenius_norm(np.sum(cells[first:], axis=0).reshape(16, 16) - np.eye(16))
         if residual > DEFAULT_TOL:
             raise ValueError(f"outcome cells of setting ({i}, {j}) sum to the identity "
@@ -178,48 +154,57 @@ def _cells() -> tuple[tuple, np.ndarray, np.ndarray, tuple, np.ndarray]:
     entries = np.array(np.divmod(columns, 16))
     for array in (stack, products, entries):
         array.setflags(write=False)
-    return tuple(outcomes), stack, products, tuple(rows), entries
+    return tuple(outcomes), stack, products, MappingProxyType(rows), entries
 
 
-def _outcome_cells(i: int, j: int) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """Setting (i, j)'s outcomes, cell stack and outcome products: its rows of ``_cells()``."""
-    outcomes, stack, products, rows, _ = _cells()
-    first, end = rows[SETTING_PAIRS.index((i, j))]
-    return outcomes[first:end], stack[first:end], products[first:end]
+def _gram(state: StateVector | Sequence) -> np.ndarray:
+    """Born-weighted G = x x^T + y y^T (x, y = Re psi, Im psi) of a state or an ensemble at
+    the cell stack's 36 (row, column) pairs: a state's entry x[r]*x[c] + y[r]*y[c], the bits
+    of G's (r, c) entry.
+
+    A state must be over FULL_LAYOUT. A bare state is the ensemble of itself with weight 1,
+    whose G is the state's bit for bit; an ensemble's weights must be non-negative and sum
+    to 1 within 1e-12. The sum starts from the first term, not from 0.0, which would turn
+    a -0.0 into 0.0. Raises ValueError otherwise.
+    """
+    if isinstance(state, StateVector):
+        if state.subsystems != FULL_LAYOUT:
+            raise ValueError(f"CHSH engine needs the 16-dim state over {FULL_LAYOUT}, "
+                             f"got {state.subsystems}")
+        r, c = _cells()[4]
+        x, y = state.amplitudes.real, state.amplitudes.imag
+        return x[r] * x[c] + y[r] * y[c]
+    if any(branch.weight < 0.0 for branch in state):
+        raise ValueError("ensemble weights must be non-negative")
+    total = math.fsum(branch.weight for branch in state)
+    if not abs(total - 1.0) <= DEFAULT_TOL:  # written so that a nan total fails
+        raise ValueError(f"ensemble weights sum to {total!r}, not 1")
+    terms = [branch.weight * _gram(branch.state) for branch in state]
+    return sum(terms[1:], terms[0])
 
 
-def _gram(state: StateVector) -> np.ndarray:
-    """G = x x^T + y y^T of a state (x, y = Re psi, Im psi) at the cell stack's 36
-    (row, column) pairs: entry x[r]*x[c] + y[r]*y[c], the bits of G's (r, c) entry."""
-    psi = _require_full_state(state)
-    r, c = _cells()[4]
-    x, y = psi.real, psi.imag
-    return x[r] * x[c] + y[r] * y[c]
-
-
-def _table(gram: np.ndarray, i: int, j: int) -> np.ndarray:
-    """sum(C * G) for each cell C of setting (i, j): the joint probabilities of the
-    state or ensemble whose G is ``gram``. Not ``stack @ gram``, a BLAS dgemv whose
-    summation order and fused multiply-adds depend on the CPU."""
-    _, stack, _ = _outcome_cells(check_setting(i), check_setting(j))
-    return (stack * gram).sum(axis=1)
+def _table(state: StateVector | Sequence) -> np.ndarray:
+    """sum(C * G) for each of the 25 cached cells C: the joint probabilities of a state or
+    an ensemble, a setting's at its rows of ``_cells()``. Not ``stack @ gram``, a BLAS
+    dgemv whose summation order and fused multiply-adds depend on the CPU."""
+    return (_cells()[1] * _gram(state)).sum(axis=1)
 
 
 def chsh_exact(state: StateVector | Sequence) -> ChshReport:
     """Exact quantum correlators and S value of a 16-dim state or an ensemble: each
     correlator is sum(a*b * P(a, b)) over the joint table of its Born-weighted G."""
-    gram = _born_sum(state, _gram)
-    _, stack, products, rows, _ = _cells()
-    weighted = (products * (stack * gram).sum(axis=1)).tolist()
-    correlators = {pair: math.fsum(weighted[first:end])
-                   for pair, (first, end) in zip(SETTING_PAIRS, rows)}
+    _, _, products, rows, _ = _cells()
+    weighted = (products * _table(state)).tolist()
+    correlators = {pair: math.fsum(weighted[rows[pair]]) for pair in SETTING_PAIRS}
     return ChshReport("exact", correlators, s_from_correlators(correlators))
 
 
-def joint_distribution(state: StateVector, i: int, j: int) -> list[JointOutcome]:
-    """Full joint outcome table for setting pair (i, j), zero cells included."""
-    table = _table(_gram(state), i, j).tolist()
-    return [JointOutcome(*outcome, p) for outcome, p in zip(_outcome_cells(i, j)[0], table)]
+def joint_distribution(state: StateVector | Sequence, i: int, j: int) -> list[JointOutcome]:
+    """Full joint outcome table of a state or an ensemble for setting pair (i, j)."""
+    outcomes, _, _, rows, _ = _cells()
+    table = _table(state)
+    cells = rows[check_setting(i), check_setting(j)]
+    return [JointOutcome(*outcome, p) for outcome, p in zip(outcomes[cells], table[cells].tolist())]
 
 
 def sample_products(
@@ -253,8 +238,10 @@ def sample_setting_products(
 ) -> tuple[float, float]:
     """Mean and ddof=1 variance of the products a*b of `shots` joint outcomes of setting
     (i, j), drawn from the mixture table of an ensemble: the table of its Born-weighted G."""
-    table = _table(_born_sum(state, _gram), i, j)
-    return sample_products(table, _outcome_cells(i, j)[2], shots, (seed, i, j))
+    _, _, products, rows, _ = _cells()
+    table = _table(state)
+    cells = rows[check_setting(i), check_setting(j)]
+    return sample_products(table[cells], products[cells], shots, (seed, i, j))
 
 
 def report_from_setting_products(
@@ -285,12 +272,11 @@ def chsh_sampled(state: StateVector | Sequence, shots_per_setting: int, seed: in
         raise ValueError("shots_per_setting must be at least 2 (sample variance)")
     if shots_per_setting > 2 ** 63 - 1:  # outcome counts are int64
         raise ValueError(f"shots {shots_per_setting} exceeds the bound of 2**63 - 1 per setting")
-    gram = _born_sum(state, _gram)
-    _, stack, products, rows, _ = _cells()
-    table = (stack * gram).sum(axis=1)
-    setting_stats = {(i, j): sample_products(table[first:end], products[first:end],
+    _, _, products, rows, _ = _cells()
+    table = _table(state)
+    setting_stats = {(i, j): sample_products(table[rows[i, j]], products[rows[i, j]],
                                              shots_per_setting, (seed, i, j))
-                     for (i, j), (first, end) in zip(SETTING_PAIRS, rows)}
+                     for i, j in SETTING_PAIRS}
     return report_from_setting_products(setting_stats, shots_per_setting)
 
 

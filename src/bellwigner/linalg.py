@@ -18,6 +18,8 @@ reduces them from real cell stacks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 DEFAULT_TOL = 1e-12
@@ -88,7 +90,7 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def commutator_norm(m, n) -> float:
-    """Frobenius norm of m@n - n@m.
+    """Frobenius norm of m@n - n@m; inf, with no warning, when a product or the norm overflows.
 
     For operators lifted from disjoint tensor factors each entry of either
     product is one product of a factor entry per side, and float64 products
@@ -98,4 +100,6 @@ def commutator_norm(m, n) -> float:
     a, b = as_matrix(m), as_matrix(n)
     if a.shape[0] != a.shape[1] or a.shape != b.shape:
         raise ValueError(f"commutator needs equal square matrices, got {a.shape} and {b.shape}")
-    return frobenius_norm(product(a, b) - product(b, a))
+    with np.errstate(over="ignore", invalid="ignore"):  # both products may overflow: inf - inf is nan
+        diff = product(a, b) - product(b, a)
+        return frobenius_norm(diff) if np.isfinite(diff).all() else math.inf

@@ -214,6 +214,35 @@ def test_joint_distribution_matches_exact_correlators():
         assert correlator == pytest.approx(report.correlators[pair], abs=1e-12)
 
 
+def test_joint_distribution_of_an_ensemble_is_the_mixture_table_the_sampler_draws_from(
+        monkeypatch):
+    rng = np.random.default_rng(53)
+    mixed = [Branch(0.25, random_full_state(rng), "a"), Branch(0.75, random_full_state(rng), "b")]
+    drawn = {}
+
+    def recording(probabilities, products, shots, stream_key):
+        drawn[stream_key[1:]] = probabilities
+        return sample_products(probabilities, products, shots, stream_key)
+
+    monkeypatch.setattr(chsh, "sample_products", recording)
+    for ensemble in (_bell_wigner_branches(), mixed):
+        report = chsh_exact(ensemble)
+        chsh_sampled(ensemble, 1000, 3)
+        for i, j in SETTING_PAIRS:
+            cells = joint_distribution(ensemble, i, j)
+            probabilities = [cell.joint_probability.hex() for cell in cells]
+            assert probabilities == [p.hex() for p in drawn[i, j].tolist()]
+            terms = [cell.a_value * cell.b_value * cell.joint_probability for cell in cells]
+            assert math.fsum(terms).hex() == report.correlators[(i, j)].hex()
+        for bad in ((True, 0), (0, 1.0), (2, 0)):
+            with pytest.raises(ValueError, match="setting must be 0 or 1"):
+                joint_distribution(ensemble, *bad)
+    for weights in ((0.5, 0.6), (-0.25, 1.25)):
+        branches = [Branch(w, b.state, b.label) for w, b in zip(weights, mixed)]
+        with pytest.raises(ValueError, match="ensemble weights"):
+            joint_distribution(branches, 1, 1)
+
+
 def test_joint_distribution_pinned_cell():
     outcomes = joint_distribution(bell_wigner_state(), 0, 0)
     cell = next(c for c in outcomes if c.a_value == 1.0 and c.b_value == 1.0)
@@ -346,7 +375,8 @@ def test_a_sum_with_no_nonzero_term_is_positive_zero():
     mean, variance = sample_products(np.array([0.0, 1.0]), np.array([-1.0, -0.0]), 1000, (0, 1, 1))
     assert (repr(mean), repr(variance)) == ("0.0", "0.0")
     state = StateVector(FULL_LAYOUT, np.eye(16)[0])  # |h, F_h, h, F_h>
-    terms = (chsh._outcome_cells(1, 1)[2] * chsh._table(chsh._gram(state), 1, 1)).tolist()
+    _, _, products, rows, _ = chsh._cells()
+    terms = (products * chsh._table(state))[rows[1, 1]].tolist()
     assert len(terms) == 9 and not any(terms)
     assert any(math.copysign(1.0, term) < 0.0 for term in terms)
     assert repr(chsh_exact(state).correlators[(1, 1)]) == "0.0"
@@ -398,7 +428,7 @@ def test_tables_are_within_1e_15_of_the_per_cell_expectation_route():
             # the Born-weighted sum of the per-cell tables
             route = sum(branch.weight * np.array(expectation_table(branch.state, i, j))
                         for branch in branches)
-            mixture = chsh._table(chsh._born_sum(source, chsh._gram), i, j)
+            mixture = chsh._table(source)[chsh._cells()[3][i, j]]
             assert np.abs(mixture - route).max() <= 1e-15
             # the exact correlator against the Born-weighted BLAS route
             reference = sum(branch.weight * expectation(
@@ -413,15 +443,22 @@ def test_tables_are_within_1e_15_of_the_per_cell_expectation_route():
             assert [v.hex() for v in sampled] == [v.hex() for v in expected]
 
 
+def setting_terms(gram, i, j):
+    """Setting (i, j)'s terms a*b * P(a, b), its table reduced from its own rows of the
+    stack alone, not sliced from the one table of all 25 cells."""
+    _, stack, products, rows, _ = chsh._cells()
+    return products[rows[i, j]] * (stack[rows[i, j]] * gram).sum(axis=1)
+
+
 def per_setting_correlator(gram, i, j):
     """The reference: setting (i, j)'s correlator from its own table, one correctly
     rounded sum of its terms a*b * P(a, b) each."""
-    return math.fsum((chsh._outcome_cells(i, j)[2] * chsh._table(gram, i, j)).tolist())
+    return math.fsum(setting_terms(gram, i, j).tolist())
 
 
 def numpy_setting_correlator(gram, i, j):
     """The former route: a numpy sum of the same terms, which groups them in its own order."""
-    return float((chsh._outcome_cells(i, j)[2] * chsh._table(gram, i, j)).sum())
+    return float(setting_terms(gram, i, j).sum())
 
 
 def test_one_reduction_of_the_stack_gives_the_per_setting_tables_and_reports_bit_for_bit():
@@ -431,14 +468,16 @@ def test_one_reduction_of_the_stack_gives_the_per_setting_tables_and_reports_bit
     states += [random_full_state(more) for _ in range(1000)]
     sources = states + [_friend_branches(states[1])]
     _, stack, _, rows, _ = chsh._cells()
-    assert rows == ((0, 9), (9, 15), (15, 21), (21, 25))
+    assert list(rows.items()) == [((1, 1), slice(0, 9)), ((1, 0), slice(9, 15)),
+                                  ((0, 1), slice(15, 21)), ((0, 0), slice(21, 25))]
     for n, source in enumerate(sources):
-        gram = chsh._born_sum(source, chsh._gram)
-        table = (stack * gram).sum(axis=1)
+        gram = chsh._gram(source)
+        table = chsh._table(source)
         exact = chsh_exact(source)
         sampled = chsh_sampled(source, 1000, n)
-        for (i, j), (first, end) in zip(SETTING_PAIRS, rows):
-            assert table[first:end].tobytes() == chsh._table(gram, i, j).tobytes()
+        for i, j in SETTING_PAIRS:
+            alone = (stack[rows[i, j]] * gram).sum(axis=1)
+            assert table[rows[i, j]].tobytes() == alone.tobytes()
             assert exact.correlators[(i, j)].hex() == per_setting_correlator(gram, i, j).hex()
             assert abs(exact.correlators[(i, j)] - numpy_setting_correlator(gram, i, j)) <= 2.3e-16
         serial = {pair: sample_setting_products(source, *pair, 1000, n) for pair in SETTING_PAIRS}
@@ -448,15 +487,17 @@ def test_one_reduction_of_the_stack_gives_the_per_setting_tables_and_reports_bit
 
 @pytest.mark.parametrize("pair", SETTING_PAIRS)
 def test_cached_outcome_cells_are_read_only(pair):
-    _, whole, all_products, _, entries = chsh._cells()
+    _, whole, all_products, rows, entries = chsh._cells()
     assert whole.shape == (25, 36) and all_products.shape == (25,) and entries.shape == (2, 36)
-    _, stack, products = chsh._outcome_cells(*pair)
+    stack, products = whole[rows[pair]], all_products[rows[pair]]
     # a setting's cells are views of the one cached stack, not copies
     assert np.shares_memory(stack, whole) and np.shares_memory(products, all_products)
     for array in (whole, *whole, all_products, stack, *stack, products, entries, *entries):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
+    with pytest.raises(TypeError):
+        rows[pair] = slice(0, 25)
 
 
 def scattered(row):
@@ -470,7 +511,8 @@ def test_cached_outcome_cells_equal_the_products_of_the_lifted_projectors():
     # the reference route: a 16x16 BLAS product Pa@Pb of the lifted projectors
     count = 0
     for i, j in SETTING_PAIRS:
-        _, stack, _ = chsh._outcome_cells(i, j)
+        _, whole, _, rows, _ = chsh._cells()
+        stack = whole[rows[i, j]]
         lifted = [pa @ pb for _, pa in lifted_spectrum(alice_observable(i))
                   for _, pb in lifted_spectrum(bob_observable(j))]
         assert len(lifted) == len(stack)
@@ -511,10 +553,10 @@ def test_random_state_outputs_stay_within_2_3e_16_of_the_256_entry_route():
         x, y = state.amplitudes.real, state.amplitudes.imag
         table = (full * (x[:, None] * x + y[:, None] * y).reshape(256)).sum(axis=1)
         exact = chsh_exact(state)
-        for (i, j), (first, end) in zip(SETTING_PAIRS, rows):
+        for i, j in SETTING_PAIRS:
             narrowed = [cell.joint_probability for cell in joint_distribution(state, i, j)]
-            assert np.abs(np.subtract(narrowed, table[first:end])).max() <= 2.3e-16
-            reference = (products[first:end] * table[first:end]).sum()
+            assert np.abs(np.subtract(narrowed, table[rows[i, j]])).max() <= 2.3e-16
+            reference = (products[rows[i, j]] * table[rows[i, j]]).sum()
             assert abs(exact.correlators[(i, j)] - reference) <= 2.3e-16
 
 
@@ -557,11 +599,14 @@ def test_outcome_cells_are_checked_when_built(monkeypatch, fresh_cells, message)
         return Observable(obs.label, obs.matrix, edit(obs.spectrum))
 
     monkeypatch.setattr(chsh, "alice_observable", broken)
+    for build in (chsh._cells, lambda: chsh._table(bell_wigner_state())):
+        with pytest.raises(ValueError, match=message):
+            build()
     for pair in SETTING_PAIRS:
         with pytest.raises(ValueError, match=message):
-            chsh._outcome_cells(*pair)
-        with pytest.raises(ValueError, match=message):
             joint_distribution(bell_wigner_state(), *pair)
+        with pytest.raises(ValueError, match=message):
+            sample_setting_products(bell_wigner_state(), *pair, 10, 1)
     for report in (chsh_exact, lambda state: chsh_sampled(state, 1000, 1)):
         with pytest.raises(ValueError, match=message):
             report(bell_wigner_state())

@@ -129,6 +129,19 @@ def test_commutator_positive_for_noncommuting_pair():
     assert commutator_norm(sz, sx) > 0.5
 
 
+@pytest.mark.parametrize("m, n", [
+    # both products hold inf at the same entries: inf - inf is nan
+    (np.full((2, 2), 1e200), np.full((2, 2), 1e200)),
+    # the products overflow at different entries
+    (np.array([[0.0, 1e200], [0.0, 0.0]]), np.array([[0.0, 0.0], [1e200, 0.0]])),
+    # the difference is finite, its squares overflow
+    (np.array([[0.0, 1e100], [0.0, 0.0]]), np.array([[0.0, 0.0], [1e100, 0.0]])),
+], ids=["products_inf_minus_inf", "products_overflow", "norm_overflows"])
+def test_commutator_of_finite_matrices_that_overflows_is_inf(m, n):
+    # the suite turns warnings into errors, so this also checks that none is raised
+    assert commutator_norm(m, n) == math.inf
+
+
 def test_commutator_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         commutator_norm(I2, I4)

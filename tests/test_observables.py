@@ -154,25 +154,46 @@ OVERFLOW_MATRIX = np.array(A1.matrix)
 OVERFLOW_MATRIX[1, 2] = OVERFLOW_MATRIX[2, 1] = 1e200
 
 
+def large(label, *entries):
+    """The built-in observable ``label`` with each of ``entries`` of its matrix set to 1e200."""
+    obs = make_observable(label)
+    matrix = np.array(obs.matrix)
+    for entry in entries:
+        matrix[entry] = 1e200
+    return Observable(label, matrix, obs.spectrum)
+
+
 @pytest.mark.parametrize("broken,failing,residual", [
     # checks that read A1's spectrum
-    (Observable("A1", A1.matrix, ((1.0, np.full((4, 4), np.nan)), *A1.spectrum[1:])),
+    ({"a1": Observable("A1", A1.matrix, ((1.0, np.full((4, 4), np.nan)), *A1.spectrum[1:]))},
      {"spectrum_reconstruction_A1", "spectrum_values_A1", "spectrum_projectors_A1"}, math.nan),
     # checks that read A1's matrix; inf * 0 in a product would warn
-    (Observable("A1", INF_MATRIX, A1.spectrum),
+    ({"a1": Observable("A1", INF_MATRIX, A1.spectrum)},
      {"A1_squared_support", "commute_A1_B0", "commute_A1_B1", "noncommute_A0_A1",
       "spectrum_reconstruction_A1"}, math.nan),
     # a finite entry whose square overflows in a norm: those norms read inf, and the
     # inter-side commutators, exactly 0.0, still pass
-    (Observable("A1", LARGE_MATRIX, A1.spectrum),
+    ({"a1": Observable("A1", LARGE_MATRIX, A1.spectrum)},
      {"A1_squared_support", "noncommute_A0_A1", "spectrum_reconstruction_A1"}, math.inf),
     # two finite entries whose product overflows in A1 @ A1: that square reads inf too
-    (Observable("A1", OVERFLOW_MATRIX, A1.spectrum),
+    ({"a1": Observable("A1", OVERFLOW_MATRIX, A1.spectrum)},
      {"A1_squared_support", "noncommute_A0_A1", "spectrum_reconstruction_A1"}, math.inf),
-], ids=["nan_projector", "inf_matrix", "large_entry", "overflowed_product"])
+    # both products of a commutator overflow, and inf - inf is nan: the commutator reads inf
+    ({"a1": large("A1", (1, 2), (2, 1)), "b1": large("B1", (1, 2), (2, 1))},
+     {"A1_squared_support", "B1_squared_support", "commute_A1_B1", "noncommute_A0_A1",
+      "noncommute_B0_B1", "spectrum_reconstruction_A1", "spectrum_reconstruction_B1"}, math.inf),
+    ({"a0": large("A0", (0, 0)), "b0": large("B0", (0, 0))},
+     {"A0_squared_identity", "B0_squared_identity", "commute_A0_B0",
+      "spectrum_reconstruction_A0", "spectrum_reconstruction_B0"}, math.inf),
+    ({"a0": large("A0", (0, 1), (1, 0)), "a1": large("A1", (0, 1), (1, 0))},
+     {"A0_squared_identity", "A1_squared_support", "noncommute_A0_A1",
+      "spectrum_reconstruction_A0", "spectrum_reconstruction_A1"}, math.inf),
+], ids=["nan_projector", "inf_matrix", "large_entry", "overflowed_product",
+        "overflowed_A1_B1_commutator", "overflowed_A0_B0_commutator",
+        "overflowed_A0_A1_commutator"])
 def test_verify_algebra_reports_a_non_finite_entry(broken, failing, residual):
     # no exception, and no warning: the suite turns warnings into errors
-    checks = checks_by_name(verify_algebra(a1=broken))
+    checks = checks_by_name(verify_algebra(**broken))
     assert {name for name, check in checks.items() if not check.passed} == failing
     for name in failing:
         assert repr(checks[name].residual) == repr(residual)

@@ -103,11 +103,11 @@ class ChshReport:
             raise ValueError(f"unknown report mode {self.mode!r}")
         if set(self.correlators) != set(SETTING_PAIRS):
             raise ValueError("correlator map must cover all four setting pairs")
-        if abs(s_from_correlators(self.correlators) - self.s_value) > DEFAULT_TOL:
+        if not abs(s_from_correlators(self.correlators) - self.s_value) <= DEFAULT_TOL:  # nan fails
             raise ValueError("s_value does not recompute from the stored correlators")
         if self.mode == "exact":
             worst = max(abs(v) for v in self.correlators.values())
-            if worst > 1.0 + DEFAULT_TOL:
+            if not worst <= 1.0 + DEFAULT_TOL:
                 raise ValueError(f"exact correlator magnitude {worst} exceeds 1")
 
     def to_dict(self) -> dict:

@@ -17,6 +17,7 @@ finite, a choice is one of its choices and a path (``out``) is non-empty with
 no NUL byte, and the file system can encode it. Its ``UsageError`` is also
 what argparse reports for a bad flag. ``--key=--`` gives the value ``--`` on
 every Python, as argparse does from 3.13.
+Importing it calls ``gc.freeze()``, so shutdown's collections skip the import-time heap.
 The GRW settings n, t and rate default to the ``--scale`` preset,
 ``ATOM_PARAMS`` or ``INSTRUMENT_PARAMS``.
 Each subcommand is declared once, by ``_command``, which adds its handler to
@@ -30,6 +31,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import gc
 import io
 import json
 import math
@@ -53,6 +55,8 @@ from .interpretations import (
 )
 from .observables import OBSERVABLE_LABELS, make_observable, verify_algebra
 from .states import basis_labels, bell_wigner_state, correlate_friend, entangled_pair, plus_photon
+# the import-time heap lives until exit: frozen, shutdown's collections skip it
+gc.freeze()
 
 ENV_SEED = "BELLWIGNER_SEED"
 

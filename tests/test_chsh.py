@@ -119,6 +119,19 @@ def test_report_consistency_invariant():
         ChshReport("exact", inflated, s_from_correlators(inflated))
 
 
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_report_refuses_a_nan_s_value(mode):
+    with pytest.raises(ValueError, match="recompute"):
+        ChshReport(mode, {pair: 0.5 for pair in SETTING_PAIRS}, float("nan"))
+
+
+@pytest.mark.parametrize("nan_pairs", [SETTING_PAIRS, SETTING_PAIRS[-1:]])
+def test_report_refuses_a_nan_exact_correlator(nan_pairs):
+    correlators = {pair: float("nan") if pair in nan_pairs else 0.5 for pair in SETTING_PAIRS}
+    with pytest.raises(ValueError, match="recompute|exceeds 1"):
+        ChshReport("exact", correlators, s_from_correlators(correlators))
+
+
 def test_report_document_keys():
     doc = chsh_exact(bell_wigner_state()).to_dict()
     assert list(doc) == ["mode", "correlators", "s_value", "shots_per_setting",

@@ -1,13 +1,36 @@
-"""The package's public surface: its export list and its console script."""
+"""The package's public surface: its export list, its console script and the
+process-wide side effect of importing the CLI."""
 
 import importlib
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import bellwigner
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_DIR = ROOT / "tests/golden"
+# the benchmark's entry form of one CLI run
+ENTRY = "import sys; from bellwigner.cli import main; sys.exit(main())"
+LIBRARY_MODULES = ("bellwigner", "bellwigner.chsh", "bellwigner.interpretations",
+                   "bellwigner.observables", "bellwigner.states", "bellwigner.linalg")
+# prints the freeze count after each import: this process has imported the CLI already
+FREEZE_PROBE = f"""
+import gc, importlib
+for name in {(*LIBRARY_MODULES, "bellwigner.cli")!r}:
+    importlib.import_module(name)
+    print(name, gc.get_freeze_count())
+"""
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], capture_output=True, cwd=ROOT, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
 
 
 def test_all_lists_exactly_the_public_names():
@@ -25,3 +48,29 @@ def test_console_script_prints_the_chsh_exact_golden(capsys):
     entry = getattr(importlib.import_module(match[1]), match[2])
     assert entry(["chsh-exact"]) == 0
     assert capsys.readouterr().out.encode() == (ROOT / "tests/golden/chsh_exact.json").read_bytes()
+
+
+def test_only_importing_the_cli_freezes_the_heap():
+    proc = run_python("-c", FREEZE_PROBE)
+    assert proc.returncode == 0 and proc.stderr == b""
+    counts = {name: int(count) for name, count in map(str.split, proc.stdout.decode().splitlines())}
+    assert list(counts) == [*LIBRARY_MODULES, "bellwigner.cli"]
+    assert all(counts[name] == 0 for name in LIBRARY_MODULES)
+    assert counts["bellwigner.cli"] > 0
+
+
+@pytest.mark.parametrize("argv, out, golden", [
+    (["chsh-exact"], None, "chsh_exact.json"),
+    (["agreement", "--scale", "macro", "--format", "csv"], "agreement.csv", "agreement_macro.csv"),
+])
+def test_a_dev_mode_process_exits_cleanly_with_the_golden_bytes(tmp_path, argv, out, golden):
+    # dev mode reports unclosed resources and other shutdown faults on stderr
+    out_args = ["--out", str(tmp_path / out)] if out else []
+    proc = run_python("-X", "dev", "-c", ENTRY, *argv, *out_args)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    if out:
+        assert proc.stdout == b""
+        written = (tmp_path / out).read_bytes()
+    else:
+        written = proc.stdout
+    assert written == (GOLDEN_DIR / golden).read_bytes()

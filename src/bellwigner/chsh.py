@@ -20,7 +20,8 @@ is finite and Hermitian (real, as its projectors are), and each setting's
 cells sum to the identity.
 Its columns are the 36 of the 256 entries that are nonzero in some cell. For a
 real symmetric cell C, <psi|C|psi> = sum(C * G) over those 36 entries of the
-state's G = Re(psi psi^H) = x x^T + y y^T (x, y = Re psi, Im psi), and an
+state's G = Re(psi psi^H) = x x^T + y y^T (x, y = Re psi, Im psi), read with one
+gather of the interleaved (x, y) amplitudes at a cached (2, 2, 36) index, and an
 ensemble's G is the Born-weighted sum of its branches'. Each call reduces the
 whole stack once, float64 products and numpy row sums with no BLAS call and no
 fused multiply-add, to one (25,) table of joint probabilities, which reports,
@@ -54,6 +55,7 @@ from .observables import alice_observable, bob_observable, check_setting, lift, 
 from .states import FULL_LAYOUT, StateVector
 
 SETTING_PAIRS = ((1, 1), (1, 0), (0, 1), (0, 0))
+_PAIR_SET = frozenset(SETTING_PAIRS)
 
 
 def s_from_correlators(correlators: dict[tuple[int, int], float]) -> float:
@@ -101,12 +103,12 @@ class ChshReport:
     def __post_init__(self):
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"unknown report mode {self.mode!r}")
-        if set(self.correlators) != set(SETTING_PAIRS):
+        if self.correlators.keys() != _PAIR_SET:
             raise ValueError("correlator map must cover all four setting pairs")
         if not abs(s_from_correlators(self.correlators) - self.s_value) <= DEFAULT_TOL:  # nan fails
             raise ValueError("s_value does not recompute from the stored correlators")
         if self.mode == "exact":
-            worst = max(abs(v) for v in self.correlators.values())
+            worst = max(map(abs, self.correlators.values()))
             if not worst <= 1.0 + DEFAULT_TOL:
                 raise ValueError(f"exact correlator magnitude {worst} exceeds 1")
 
@@ -127,7 +129,8 @@ def _cells() -> tuple[tuple, np.ndarray, np.ndarray, MappingProxyType, np.ndarra
     the read-only real (25, 36) stack of the products Pa (x) Pb of the 4x4 side
     projectors (each entry one product, no sum) at the 36 entries nonzero in some
     cell, the read-only outcome products a*b, a read-only map from each pair (i, j) to
-    the slice of its rows, and the read-only (2, 36) (row, column) indices of those entries.
+    the slice of its rows, and the read-only (2, 2, 36) gather index [[2r, 2r+1], [2c, 2c+1]]
+    of those entries' (r, c) into a 16-dim state's amplitudes viewed as interleaved (x, y).
 
     Each cell, real because its projectors are, must be finite and Hermitian, and each
     pair's cells must sum to the identity; raises ValueError otherwise, caching nothing.
@@ -151,16 +154,16 @@ def _cells() -> tuple[tuple, np.ndarray, np.ndarray, MappingProxyType, np.ndarra
     columns = np.flatnonzero(np.any(cells, axis=0))
     stack = np.array([cell[columns] for cell in cells])  # C order: each row sums pairwise
     products = np.array([a_value * b_value for a_value, b_value in outcomes])
-    entries = np.array(np.divmod(columns, 16))
-    for array in (stack, products, entries):
+    gather = 2 * np.array(np.divmod(columns, 16))[:, None] + [[0], [1]]  # [[2r, 2r+1], [2c, 2c+1]]
+    for array in (stack, products, gather):
         array.setflags(write=False)
-    return tuple(outcomes), stack, products, MappingProxyType(rows), entries
+    return tuple(outcomes), stack, products, MappingProxyType(rows), gather
 
 
 def _gram(state: StateVector | Sequence) -> np.ndarray:
     """Born-weighted G = x x^T + y y^T (x, y = Re psi, Im psi) of a state or an ensemble at
     the cell stack's 36 (row, column) pairs: a state's entry x[r]*x[c] + y[r]*y[c], the bits
-    of G's (r, c) entry.
+    of G's (r, c) entry, read with one gather of its interleaved (x, y) at ``_cells()[4]``.
 
     A state must be over FULL_LAYOUT. A bare state is the ensemble of itself with weight 1,
     whose G is the state's bit for bit; an ensemble's weights must be non-negative and sum
@@ -171,9 +174,9 @@ def _gram(state: StateVector | Sequence) -> np.ndarray:
         if state.subsystems != FULL_LAYOUT:
             raise ValueError(f"CHSH engine needs the 16-dim state over {FULL_LAYOUT}, "
                              f"got {state.subsystems}")
-        r, c = _cells()[4]
-        x, y = state.amplitudes.real, state.amplitudes.imag
-        return x[r] * x[c] + y[r] * y[c]
+        pairs = state.amplitudes.view(float)[_cells()[4]]  # [[x[r], y[r]], [x[c], y[c]]]
+        products = pairs[0] * pairs[1]  # x[r]*x[c] and y[r]*y[c], the same IEEE products
+        return products[0] + products[1]
     if any(branch.weight < 0.0 for branch in state):
         raise ValueError("ensemble weights must be non-negative")
     total = math.fsum(branch.weight for branch in state)

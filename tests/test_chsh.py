@@ -6,6 +6,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -130,6 +131,21 @@ def test_report_refuses_a_nan_exact_correlator(nan_pairs):
     correlators = {pair: float("nan") if pair in nan_pairs else 0.5 for pair in SETTING_PAIRS}
     with pytest.raises(ValueError, match="recompute|exceeds 1"):
         ChshReport("exact", correlators, s_from_correlators(correlators))
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_report_correlator_map_must_hold_exactly_the_four_setting_pairs(mode):
+    four = {pair: 0.5 for pair in SETTING_PAIRS}
+    s_value = s_from_correlators(four)
+    missing = dict(four)
+    del missing[(0, 0)]
+    for keys in (missing, {**four, (2, 2): 0.5}, {}):
+        with pytest.raises(ValueError, match="cover all four setting pairs"):
+            ChshReport(mode, keys, s_value)
+    # any mapping with the four pairs builds, in any order, read-only or not
+    for correlators in (MappingProxyType(four), dict(reversed(four.items()))):
+        report = ChshReport(mode, correlators, s_value)
+        assert report.correlators is correlators and report.s_value == s_value
 
 
 def test_report_document_keys():
@@ -500,12 +516,12 @@ def test_one_reduction_of_the_stack_gives_the_per_setting_tables_and_reports_bit
 
 @pytest.mark.parametrize("pair", SETTING_PAIRS)
 def test_cached_outcome_cells_are_read_only(pair):
-    _, whole, all_products, rows, entries = chsh._cells()
-    assert whole.shape == (25, 36) and all_products.shape == (25,) and entries.shape == (2, 36)
+    _, whole, all_products, rows, gather = chsh._cells()
+    assert whole.shape == (25, 36) and all_products.shape == (25,) and gather.shape == (2, 2, 36)
     stack, products = whole[rows[pair]], all_products[rows[pair]]
     # a setting's cells are views of the one cached stack, not copies
     assert np.shares_memory(stack, whole) and np.shares_memory(products, all_products)
-    for array in (whole, *whole, all_products, stack, *stack, products, entries, *entries):
+    for array in (whole, *whole, all_products, stack, *stack, products, gather, *gather):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
@@ -513,10 +529,16 @@ def test_cached_outcome_cells_are_read_only(pair):
         rows[pair] = slice(0, 25)
 
 
+def entries():
+    """The (2, 36) (row, column) pairs of the cached stack's entries: the real slots of the
+    cached gather index, halved."""
+    return chsh._cells()[4][:, 0] // 2
+
+
 def scattered(row):
     """A row of the cached (25, 36) stack as its 16x16 cell, zeros in the dropped entries."""
     cell = np.zeros((16, 16))
-    cell[tuple(chsh._cells()[4])] = row
+    cell[tuple(entries())] = row
     return cell
 
 
@@ -544,15 +566,59 @@ def full_cells():
 
 
 def test_the_dropped_entries_are_zero_in_every_cell():
-    _, stack, _, _, entries = chsh._cells()
+    _, stack, _, _, gather = chsh._cells()
+    # each entry's real slots 2r and 2c are even, its imaginary slots the next ones
+    assert not (gather[:, 0] % 2).any() and np.array_equal(gather[:, 1], gather[:, 0] + 1)
     full = full_cells()
-    columns = 16 * entries[0] + entries[1]
+    row, column = entries()
+    columns = 16 * row + column
     assert np.array_equal(columns, np.unique(columns))  # 36 distinct flat entries, in order
     dropped = np.setdiff1d(np.arange(256), columns)
     assert len(dropped) == 220
     assert not full[:, dropped].any()
     assert np.array_equal(full[:, columns], stack)
     assert np.count_nonzero(stack) == 196
+
+
+def two_gather_gram(source):
+    """The reference G at the 36 entries: x[r]*x[c] + y[r]*y[c], gathered from the real and
+    the imaginary parts apart; an ensemble's is the weighted sum from its first term."""
+    if isinstance(source, StateVector):
+        r, c = entries()
+        x, y = source.amplitudes.real, source.amplitudes.imag
+        return x[r] * x[c] + y[r] * y[c]
+    terms = [branch.weight * two_gather_gram(branch.state) for branch in source]
+    return sum(terms[1:], terms[0])
+
+
+def crafted_states():
+    """States whose G entries hold signed zeros and subnormals, and every basis ket."""
+    zeros = np.full(16, complex(-0.0, 0.0))
+    zeros[1::4], zeros[2::4], zeros[3::4] = complex(0.0, -0.0), complex(-0.0, -0.0), 0.0
+    zeros[5] = 1.0
+    tiny = zeros.copy()
+    # 1e-160 squared is the subnormal 1e-320; 5e-324 is the least subnormal itself
+    tiny[[0, 6, 9]] = complex(1e-160, -1e-160), complex(-5e-324, 1e-160), complex(0.0, 5e-324)
+    kets = [phase * np.eye(16)[n] for n in range(16) for phase in (1.0, -1.0, 1j, -1j)]
+    return [StateVector(FULL_LAYOUT, amps) for amps in [zeros, tiny, *kets]]
+
+
+def test_one_gather_of_the_interleaved_amplitudes_gives_the_two_gather_gram_bit_for_bit():
+    rng = np.random.default_rng(53)
+    states = [bell_wigner_state(), *crafted_states()]
+    states += [random_full_state(rng) for _ in range(2000)]
+    pair = [Branch(0.25, random_full_state(rng), "a"), Branch(0.75, random_full_state(rng), "b")]
+    assert len(_bell_wigner_branches()) == 4
+    signed_zeros = subnormals = 0
+    for source in [*states, _bell_wigner_branches(), pair]:
+        gram, reference = chsh._gram(source), two_gather_gram(source)
+        assert gram.shape == (36,) and gram.dtype == np.float64
+        # int64 views tell -0.0 from 0.0 and compare subnormals by their bits
+        assert gram.view(np.int64).tolist() == reference.view(np.int64).tolist()
+        signed_zeros += np.count_nonzero(np.signbit(gram) & (gram == 0.0))
+        subnormals += np.count_nonzero((gram != 0.0) & (abs(gram) < np.finfo(float).tiny))
+    # the crafted states do reach G with -0.0 and with subnormal entries
+    assert signed_zeros > 0 and subnormals > 0
 
 
 def test_random_state_outputs_stay_within_2_3e_16_of_the_256_entry_route():

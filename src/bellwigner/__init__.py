@@ -34,8 +34,6 @@ from .interpretations import (
 from .observables import (
     AlgebraReport,
     Observable,
-    lift,
-    lifted_spectrum,
     make_observable,
     verify_algebra,
 )
@@ -75,8 +73,6 @@ __all__ = [
     "grw_linear_probability",
     "grw_simulate",
     "joint_distribution",
-    "lift",
-    "lifted_spectrum",
     "make_observable",
     "many_worlds_branches",
     "plus_photon",

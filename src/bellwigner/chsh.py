@@ -225,8 +225,8 @@ def sample_products(
     """
     probs = np.maximum(probabilities, 0.0)  # np.clip with no upper bound, in a third the time
     total = probs.sum()
-    if total <= 0.0:
-        raise ValueError("outcome probabilities sum to zero")
+    if not 0.0 < total < math.inf:  # also refuses nan
+        raise ValueError(f"outcome probabilities sum to {total}, not a positive finite number")
     counts = np.random.default_rng(stream_key).multinomial(shots, probs / total).tolist()
     values = np.asarray(products, dtype=float).tolist()
     # fsum: correctly rounded on any CPU or Python. n (x - m)^2 does not cancel as

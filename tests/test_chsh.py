@@ -389,6 +389,20 @@ def test_sample_variance_from_counts_does_not_cancel():
     assert abs(variance / exact - 1) <= 1e-9
 
 
+@pytest.mark.parametrize("probabilities, total", [
+    ([0.0, 0.0], "0.0"),
+    ([-0.5, -0.25], "0.0"),  # the floor at 0 leaves nothing to draw
+    ([math.inf, 1.0], "inf"),
+    ([math.nan, 1.0], "nan"),
+    # each entry is finite, the sum is not: p / inf would put every draw in the last cell
+    ([1e308, 1e308], "inf"),
+], ids=["zero", "negative", "inf", "nan", "overflow"])
+def test_sample_products_refuses_a_sum_that_is_not_positive_and_finite(probabilities, total):
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=f"sum to {total}, not a positive finite number$"):
+        sample_products(np.array(probabilities), np.array([1.0, -1.0]), 10, (0,))
+
+
 def test_sample_products_floor_has_the_bits_of_clip():
     # np.maximum(p, 0.0) is the ufunc np.clip calls when its upper bound is None: a table's
     # rounding negatives, signed zeros and subnormals keep the same bits either way
@@ -404,8 +418,8 @@ def test_a_sum_with_no_nonzero_term_is_positive_zero():
     mean, variance = sample_products(np.array([0.0, 1.0]), np.array([-1.0, -0.0]), 1000, (0, 1, 1))
     assert (repr(mean), repr(variance)) == ("0.0", "0.0")
     state = StateVector(FULL_LAYOUT, np.eye(16)[0])  # |h, F_h, h, F_h>
-    _, _, products, rows, _ = chsh._cells()
-    terms = (products * chsh._table(state))[rows[1, 1]].tolist()
+    terms = [cell.a_value * cell.b_value * cell.joint_probability
+             for cell in joint_distribution(state, 1, 1)]
     assert len(terms) == 9 and not any(terms)
     assert any(math.copysign(1.0, term) < 0.0 for term in terms)
     assert repr(chsh_exact(state).correlators[(1, 1)]) == "0.0"
@@ -457,7 +471,8 @@ def test_tables_are_within_1e_15_of_the_per_cell_expectation_route():
             # the Born-weighted sum of the per-cell tables
             route = sum(branch.weight * np.array(expectation_table(branch.state, i, j))
                         for branch in branches)
-            mixture = chsh._table(source)[chsh._cells()[3][i, j]]
+            mixture = np.array([cell.joint_probability
+                                for cell in joint_distribution(source, i, j)])
             assert np.abs(mixture - route).max() <= 1e-15
             # the exact correlator against the Born-weighted BLAS route
             reference = sum(branch.weight * expectation(

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import bellwigner.chsh as chsh
 from bellwigner.chsh import (
     SETTING_PAIRS,
     chsh_exact,
@@ -54,7 +53,7 @@ def table(state: StateVector, i: int, j: int) -> tuple[np.ndarray, np.ndarray, n
 
 def mixture(source, i: int, j: int) -> np.ndarray:
     """The engine's outcome probabilities of setting (i, j) for a state or an ensemble."""
-    return chsh._table(source)[chsh._cells()[3][i, j]]
+    return np.array([cell.joint_probability for cell in joint_distribution(source, i, j)])
 
 
 def check_tables_and_correlators(source):

@@ -1,5 +1,6 @@
-"""The package's public surface: its export list, its console script and the
-process-wide side effect of importing the CLI."""
+"""The package's public surface: its export list, its console script, the
+cases replayed through the installed script and the process-wide side effect of
+importing the CLI."""
 
 import importlib
 import os
@@ -12,6 +13,9 @@ from pathlib import Path
 import pytest
 
 import bellwigner
+import replay_console
+from test_cli import REFUSED_RUNS, USAGE_ERRORS
+from test_golden import golden_cases
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = ROOT / "tests/golden"
@@ -48,6 +52,29 @@ def test_console_script_prints_the_chsh_exact_golden(capsys):
     entry = getattr(importlib.import_module(match[1]), match[2])
     assert entry(["chsh-exact"]) == 0
     assert capsys.readouterr().out.encode() == (ROOT / "tests/golden/chsh_exact.json").read_bytes()
+
+
+def test_the_console_replay_runs_every_golden_both_ways_and_every_refusal_argv_can_carry():
+    cases = list(replay_console.cases())
+    goldens = [(case.argv, case.expected, case.out) for case in cases if case.status == 0]
+    assert goldens == [run for filename, argv in golden_cases()
+                       for run in ((argv, filename, None),
+                                   ([*argv, "--out", filename], filename, filename))]
+    # a process's argv cannot hold a NUL byte or a lone surrogate: the in-process table
+    # tests cover these three
+    uncarried = {"nul_out_flag", "nul_config_path", "surrogate_out_flag"}
+    refusals = [(case.argv, case.config, case.env_seed, case.status, case.expected)
+                for case in cases if case.status != 0]
+    assert refusals == [
+        *(USAGE_ERRORS[name] for name in USAGE_ERRORS if name not in uncarried),
+        *(([*argv, "--format", fmt], None, None, 2, line)
+          for argv, line in REFUSED_RUNS.values() for fmt in ("json", "csv")),
+    ]
+
+
+def test_every_golden_file_is_a_golden_case():
+    assert sorted(path.name for path in GOLDEN_DIR.iterdir()) \
+        == sorted(filename for filename, _ in golden_cases())
 
 
 def test_only_importing_the_cli_freezes_the_heap():

@@ -269,8 +269,8 @@ def report_from_setting_products(
 
 def chsh_sampled(state: StateVector | Sequence, shots_per_setting: int, seed: int) -> ChshReport:
     """Monte Carlo CHSH run on a state or an ensemble: seeded, reproducible bit for bit."""
-    # floats raise TypeError; numpy integers become an int that JSON can serialize
-    shots_per_setting = operator.index(shots_per_setting)
+    # floats and None raise TypeError; numpy integers become an int that JSON can serialize
+    shots_per_setting, seed = operator.index(shots_per_setting), operator.index(seed)
     if shots_per_setting < 2:
         raise ValueError("shots_per_setting must be at least 2 (sample variance)")
     if shots_per_setting > 2 ** 63 - 1:  # outcome counts are int64

@@ -14,10 +14,11 @@ when that verdict applies:
 * many worlds: splitting is tied to macroscopic systems; every branch is
   kept, each world governed by one term.
 
-What the verdict does is the same for all three: one map dephases the state
-in the friends' record basis. This module only chooses each backend's
-ensemble (the branches, or the untouched state); the CHSH engine averages
-its statistics over the branches.
+What the verdict does is the same for all three: one map,
+``many_worlds_branches``, dephases the state in the friends' record basis; it
+takes any state with a friend subsystem. This module only chooses each
+backend's ensemble (the branches, or the untouched state); the CHSH engine
+averages its statistics over the branches.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def grw_simulate(params: GrwParams, trials: int, seed: int) -> GrwSimResult:
     uniforms u in [0, 1), t = -log1p(-(1 - u) * p) / (n*rate), clamped at T.
     Only collapsed trials cost a draw; memory is their times, 8 B each.
     """
-    trials = operator.index(trials)
+    trials, seed = operator.index(trials), operator.index(seed)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if trials > MAX_DRAWS:
@@ -156,23 +157,21 @@ class Branch:
         return {"label": self.label, "weight": self.weight, "state": self.state.to_dict()}
 
 
-def _require_pair_state(state: StateVector) -> StateVector:
-    if state.dim != 4 or not (
-        state.subsystems[0].startswith("photon") and state.subsystems[1].startswith("friend")
-    ):
-        raise ValueError("expected a 4-dim (photon, friend) state")
-    return state
-
-
-def _friend_branches(state: StateVector) -> list[Branch]:
+def many_worlds_branches(state: StateVector) -> list[Branch]:
     """Dephase a state in its friends' record basis: one branch per record.
 
+    Takes any state with at least one friend subsystem, such as a (photon,
+    friend) pair or the 16-dim Bell-Wigner state, and refuses one with none.
     Records run over every friend subsystem in ``itertools.product`` order,
     and a branch is labeled by its friends' labels joined with "·". Cross
     terms between different friend records vanish in the resulting
-    ensemble. Branches of weight at most 1e-15 are dropped.
+    ensemble. Branches of weight at most 1e-15 are dropped; sqrt-weight
+    recombination of the returned branches reproduces the input, and branch
+    states keep their phases.
     """
     friends = [k for k, name in enumerate(state.subsystems) if name.startswith("friend")]
+    if not friends:
+        raise ValueError(f"expected a state with a friend subsystem, got {state.subsystems}")
     # the big-endian layout of ``states`` makes axis k of the reshaped vector
     # subsystem k, so fixing every friend axis selects one record's block
     amps = state.amplitudes.reshape((2,) * len(state.subsystems))
@@ -196,17 +195,7 @@ def _friend_branches(state: StateVector) -> list[Branch]:
 @functools.cache
 def _bell_wigner_branches() -> tuple[Branch, ...]:
     """The friend-record branches of ``bell_wigner_state()``, built once per process."""
-    return tuple(_friend_branches(bell_wigner_state()))
-
-
-def many_worlds_branches(state: StateVector) -> list[Branch]:
-    """Decompose a (photon, friend) state into friend-outcome branches.
-
-    Both branches are kept whenever their weight exceeds the 1e-15 numerical
-    floor; sqrt-weight recombination of the returned branches reproduces the
-    input. Branch states keep their phases.
-    """
-    return _friend_branches(_require_pair_state(state))
+    return tuple(many_worlds_branches(bell_wigner_state()))
 
 
 @dataclass(frozen=True)

@@ -25,17 +25,11 @@ from bellwigner.chsh import (
     sample_products,
     sample_setting_products,
 )
-from bellwigner.interpretations import Branch, _bell_wigner_branches, _friend_branches
-from bellwigner.linalg import expectation, kron
-from bellwigner.observables import (
-    Observable,
-    alice_observable,
-    bob_observable,
-    lift,
-    lifted_spectrum,
-)
+from bellwigner.interpretations import Branch, many_worlds_branches
+from bellwigner.linalg import expectation
+from bellwigner.observables import alice_observable, bob_observable, lift, lifted_spectrum
 from bellwigner.states import FULL_LAYOUT, StateVector, bell_wigner_state
-from oracle import ket
+from oracle import SETTINGS, joint_cells, joint_table, joint_terms, ket
 
 SQRT_HALF = math.sqrt(2) / 2
 TSIRELSON = 2 * math.sqrt(2)
@@ -64,6 +58,11 @@ def effective_two_qubit_correlators():
 def random_full_state(rng):
     z = rng.normal(size=16) + 1j * rng.normal(size=16)
     return StateVector(FULL_LAYOUT, z / np.linalg.norm(z))
+
+
+def bell_wigner_branches():
+    """The four friend-record branches of the Bell–Wigner state."""
+    return many_worlds_branches(bell_wigner_state())
 
 
 def test_exact_correlators_match_reduction_oracle():
@@ -254,7 +253,7 @@ def test_joint_distribution_of_an_ensemble_is_the_mixture_table_the_sampler_draw
         return sample_products(probabilities, products, shots, stream_key)
 
     monkeypatch.setattr(chsh, "sample_products", recording)
-    for ensemble in (_bell_wigner_branches(), mixed):
+    for ensemble in (bell_wigner_branches(), mixed):
         report = chsh_exact(ensemble)
         chsh_sampled(ensemble, 1000, 3)
         for i, j in SETTING_PAIRS:
@@ -378,6 +377,15 @@ def test_sampled_shot_count_must_be_an_integer():
     assert type(report.shots_per_setting) is int
 
 
+def test_sampled_seed_must_be_an_integer():
+    state = bell_wigner_state()
+    for seed, numpy_seed in ((7, np.int64(7)), (2 ** 64 - 1, np.uint64(2 ** 64 - 1))):
+        assert repr(chsh_sampled(state, 100, numpy_seed)) == repr(chsh_sampled(state, 100, seed))
+    for bad in (None, 1.5):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            chsh_sampled(state, 100, bad)
+
+
 def test_sample_variance_from_counts_does_not_cancel():
     # one outcome in 10^13 at 2**62 shots: sum n x^2 - N m^2 keeps ~4 digits
     probabilities, products = np.array([1 - 1e-13, 1e-13]), np.array([1.0, -1.0])
@@ -435,7 +443,7 @@ def compensated_sum(values):
     return total + compensation if compensation and math.isfinite(compensation) else total
 
 
-@pytest.mark.parametrize("source, seed", [(bell_wigner_state, 42), (_bell_wigner_branches, 11)])
+@pytest.mark.parametrize("source, seed", [(bell_wigner_state, 42), (bell_wigner_branches, 11)])
 def test_the_standard_error_adds_the_four_variances_left_to_right(source, seed):
     # the variances of `chsh-sample --shots 1000 --seed 42` and of `agreement --scale macro
     # --sampled --shots 1000 --seed 11`, whose compensated sum rounds the other way: the
@@ -459,7 +467,7 @@ def test_tables_are_within_1e_15_of_the_per_cell_expectation_route():
     # the Gram reduction sums in another order than BLAS, so the last bits may differ
     rng = np.random.default_rng(41)
     states = [bell_wigner_state()] + [random_full_state(rng) for _ in range(20)]
-    ensemble = _friend_branches(states[1])
+    ensemble = many_worlds_branches(states[1])
     assert len(ensemble) == 4
     for source in states + [ensemble]:
         branches = [Branch(1.0, source, "")] if isinstance(source, StateVector) else source
@@ -487,221 +495,61 @@ def test_tables_are_within_1e_15_of_the_per_cell_expectation_route():
             assert [v.hex() for v in sampled] == [v.hex() for v in expected]
 
 
-def setting_terms(gram, i, j):
-    """Setting (i, j)'s terms a*b * P(a, b), its table reduced from its own rows of the
-    stack alone, not sliced from the one table of all 25 cells."""
-    _, stack, products, rows, _ = chsh._cells()
-    return products[rows[i, j]] * (stack[rows[i, j]] * gram).sum(axis=1)
-
-
-def per_setting_correlator(gram, i, j):
-    """The reference: setting (i, j)'s correlator from its own table, one correctly
-    rounded sum of its terms a*b * P(a, b) each."""
-    return math.fsum(setting_terms(gram, i, j).tolist())
-
-
-def numpy_setting_correlator(gram, i, j):
-    """The former route: a numpy sum of the same terms, which groups them in its own order."""
-    return float(setting_terms(gram, i, j).sum())
-
-
 def test_one_reduction_of_the_stack_gives_the_per_setting_tables_and_reports_bit_for_bit():
     # the 21 states of the test above, then 1000 more
     rng, more = np.random.default_rng(41), np.random.default_rng(43)
     states = [bell_wigner_state()] + [random_full_state(rng) for _ in range(20)]
     states += [random_full_state(more) for _ in range(1000)]
-    sources = states + [_friend_branches(states[1])]
-    _, stack, _, rows, _ = chsh._cells()
-    assert list(rows.items()) == [((1, 1), slice(0, 9)), ((1, 0), slice(9, 15)),
-                                  ((0, 1), slice(15, 21)), ((0, 0), slice(21, 25))]
+    sources = states + [many_worlds_branches(states[1])]
+    assert SETTING_PAIRS == SETTINGS
     for n, source in enumerate(sources):
-        gram = chsh._gram(source)
-        table = chsh._table(source)
         exact = chsh_exact(source)
         sampled = chsh_sampled(source, 1000, n)
         for i, j in SETTING_PAIRS:
-            alone = (stack[rows[i, j]] * gram).sum(axis=1)
-            assert table[rows[i, j]].tobytes() == alone.tobytes()
-            assert exact.correlators[(i, j)].hex() == per_setting_correlator(gram, i, j).hex()
-            assert abs(exact.correlators[(i, j)] - numpy_setting_correlator(gram, i, j)) <= 2.3e-16
+            # the reference reduces the setting's own cells alone, not one table of all 25
+            alone = joint_table(source, i, j, narrow=True)
+            table = [cell.joint_probability for cell in joint_distribution(source, i, j)]
+            assert np.array(table).tobytes() == alone.tobytes()
+            # its correlator is one correctly rounded sum of the terms a*b * P(a, b); a
+            # numpy sum of the same terms groups them in its own order
+            terms = joint_terms(source, i, j, narrow=True)
+            assert exact.correlators[(i, j)].hex() == math.fsum(terms).hex()
+            assert abs(exact.correlators[(i, j)] - float(np.sum(terms))) <= 2.3e-16
         serial = {pair: sample_setting_products(source, *pair, 1000, n) for pair in SETTING_PAIRS}
         # repr round-trips every float, so equal reprs mean equal bits
         assert repr(sampled) == repr(report_from_setting_products(serial, 1000))
 
 
-@pytest.mark.parametrize("pair", SETTING_PAIRS)
-def test_cached_outcome_cells_are_read_only(pair):
-    _, whole, all_products, rows, gather = chsh._cells()
-    assert whole.shape == (25, 36) and all_products.shape == (25,) and gather.shape == (2, 2, 36)
-    stack, products = whole[rows[pair]], all_products[rows[pair]]
-    # a setting's cells are views of the one cached stack, not copies
-    assert np.shares_memory(stack, whole) and np.shares_memory(products, all_products)
-    for array in (whole, *whole, all_products, stack, *stack, products, gather, *gather):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 1.0
-    with pytest.raises(TypeError):
-        rows[pair] = slice(0, 25)
-
-
-def entries():
-    """The (2, 36) (row, column) pairs of the cached stack's entries: the real slots of the
-    cached gather index, halved."""
-    return chsh._cells()[4][:, 0] // 2
-
-
-def scattered(row):
-    """A row of the cached (25, 36) stack as its 16x16 cell, zeros in the dropped entries."""
-    cell = np.zeros((16, 16))
-    cell[tuple(entries())] = row
-    return cell
-
-
 def test_cached_outcome_cells_equal_the_products_of_the_lifted_projectors():
-    # the reference route: a 16x16 BLAS product Pa@Pb of the lifted projectors
+    # the oracle's cells, stated from kets, against the reference route: a 16x16 BLAS
+    # product Pa@Pb of the lifted projectors. A basis ket's joint table is the diagonal of
+    # the cells; the test above pins the engine's tables to the oracle's bit for bit.
     count = 0
     for i, j in SETTING_PAIRS:
-        _, whole, _, rows, _ = chsh._cells()
-        stack = whole[rows[i, j]]
-        lifted = [pa @ pb for _, pa in lifted_spectrum(alice_observable(i))
-                  for _, pb in lifted_spectrum(bob_observable(j))]
+        outcomes, stack = joint_cells(i, j)
+        lifted = [((a, b), pa @ pb) for a, pa in lifted_spectrum(alice_observable(i))
+                  for b, pb in lifted_spectrum(bob_observable(j))]
         assert len(lifted) == len(stack)
-        for cell, reference in zip(stack, lifted):
-            assert np.array_equal(scattered(cell), reference)
+        for outcome, cell, (value, reference) in zip(outcomes, stack, lifted):
+            assert outcome == value
+            assert np.array_equal(cell.reshape(16, 16), reference)
             count += 1
+        for n in range(16):
+            cells = joint_distribution(StateVector(FULL_LAYOUT, np.eye(16)[n]), i, j)
+            assert [(c.a_value, c.b_value, c.joint_probability) for c in cells] == \
+                [(*value, reference[n, n]) for value, reference in lifted]
     assert count == 25
-
-
-def full_cells():
-    """The (25, 256) stack of the flattened 16x16 cells kron(pa, pb), in SETTING_PAIRS order."""
-    return np.array([kron(pa, pb).reshape(256)
-                     for i, j in SETTING_PAIRS
-                     for _, pa in alice_observable(i).spectrum
-                     for _, pb in bob_observable(j).spectrum])
-
-
-def test_the_dropped_entries_are_zero_in_every_cell():
-    _, stack, _, _, gather = chsh._cells()
-    # each entry's real slots 2r and 2c are even, its imaginary slots the next ones
-    assert not (gather[:, 0] % 2).any() and np.array_equal(gather[:, 1], gather[:, 0] + 1)
-    full = full_cells()
-    row, column = entries()
-    columns = 16 * row + column
-    assert np.array_equal(columns, np.unique(columns))  # 36 distinct flat entries, in order
-    dropped = np.setdiff1d(np.arange(256), columns)
-    assert len(dropped) == 220
-    assert not full[:, dropped].any()
-    assert np.array_equal(full[:, columns], stack)
-    assert np.count_nonzero(stack) == 196
-
-
-def two_gather_gram(source):
-    """The reference G at the 36 entries: x[r]*x[c] + y[r]*y[c], gathered from the real and
-    the imaginary parts apart; an ensemble's is the weighted sum from its first term."""
-    if isinstance(source, StateVector):
-        r, c = entries()
-        x, y = source.amplitudes.real, source.amplitudes.imag
-        return x[r] * x[c] + y[r] * y[c]
-    terms = [branch.weight * two_gather_gram(branch.state) for branch in source]
-    return sum(terms[1:], terms[0])
-
-
-def crafted_states():
-    """States whose G entries hold signed zeros and subnormals, and every basis ket."""
-    zeros = np.full(16, complex(-0.0, 0.0))
-    zeros[1::4], zeros[2::4], zeros[3::4] = complex(0.0, -0.0), complex(-0.0, -0.0), 0.0
-    zeros[5] = 1.0
-    tiny = zeros.copy()
-    # 1e-160 squared is the subnormal 1e-320; 5e-324 is the least subnormal itself
-    tiny[[0, 6, 9]] = complex(1e-160, -1e-160), complex(-5e-324, 1e-160), complex(0.0, 5e-324)
-    kets = [phase * np.eye(16)[n] for n in range(16) for phase in (1.0, -1.0, 1j, -1j)]
-    return [StateVector(FULL_LAYOUT, amps) for amps in [zeros, tiny, *kets]]
-
-
-def test_one_gather_of_the_interleaved_amplitudes_gives_the_two_gather_gram_bit_for_bit():
-    rng = np.random.default_rng(53)
-    states = [bell_wigner_state(), *crafted_states()]
-    states += [random_full_state(rng) for _ in range(2000)]
-    pair = [Branch(0.25, random_full_state(rng), "a"), Branch(0.75, random_full_state(rng), "b")]
-    assert len(_bell_wigner_branches()) == 4
-    signed_zeros = subnormals = 0
-    for source in [*states, _bell_wigner_branches(), pair]:
-        gram, reference = chsh._gram(source), two_gather_gram(source)
-        assert gram.shape == (36,) and gram.dtype == np.float64
-        # int64 views tell -0.0 from 0.0 and compare subnormals by their bits
-        assert gram.view(np.int64).tolist() == reference.view(np.int64).tolist()
-        signed_zeros += np.count_nonzero(np.signbit(gram) & (gram == 0.0))
-        subnormals += np.count_nonzero((gram != 0.0) & (abs(gram) < np.finfo(float).tiny))
-    # the crafted states do reach G with -0.0 and with subnormal entries
-    assert signed_zeros > 0 and subnormals > 0
 
 
 def test_random_state_outputs_stay_within_2_3e_16_of_the_256_entry_route():
     # the reference keeps all 256 entries of G and of each cell: summing the 36 nonzero
     # ones groups the terms differently, so only the last bits may move
-    full = full_cells()
-    _, _, products, rows, _ = chsh._cells()
     rng = np.random.default_rng(47)
     for _ in range(500):
         state = random_full_state(rng)
-        x, y = state.amplitudes.real, state.amplitudes.imag
-        table = (full * (x[:, None] * x + y[:, None] * y).reshape(256)).sum(axis=1)
         exact = chsh_exact(state)
         for i, j in SETTING_PAIRS:
             narrowed = [cell.joint_probability for cell in joint_distribution(state, i, j)]
-            assert np.abs(np.subtract(narrowed, table[rows[i, j]])).max() <= 2.3e-16
-            reference = (products[rows[i, j]] * table[rows[i, j]]).sum()
+            assert np.abs(np.subtract(narrowed, joint_table(state, i, j))).max() <= 2.3e-16
+            reference = np.sum(joint_terms(state, i, j))
             assert abs(exact.correlators[(i, j)] - reference) <= 2.3e-16
-
-
-OFF_DIAGONAL = np.zeros((4, 4), dtype=complex)
-OFF_DIAGONAL[0, 1] = 0.5
-# Hermitian and imaginary, on Alice's factors only, so it commutes with Bob's cells
-IMAGINARY = np.zeros((4, 4), dtype=complex)
-IMAGINARY[0, 1], IMAGINARY[1, 0] = 0.5j, -0.5j
-
-# Alice's 4x4 side spectrum edited so that exactly one build-time check fails
-BROKEN_SPECTRA = {
-    # the cells still sum to the identity, but the cells of two projectors are not Hermitian
-    "not Hermitian": lambda s: (
-        (s[0][0], s[0][1] + OFF_DIAGONAL), (s[1][0], s[1][1] - OFF_DIAGONAL), *s[2:]),
-    "matrix entries must be finite": lambda s: ((s[0][0], np.full((4, 4), np.nan)), *s[1:]),
-    # Hermitian projectors that sum to the identity, but two are complex: the edited
-    # Observable refuses them, before any cell is built
-    "not real": lambda s: (
-        (s[0][0], s[0][1] + IMAGINARY), (s[1][0], s[1][1] - IMAGINARY), *s[2:]),
-    # Hermitian cells that miss half of one projector
-    "sum to the identity": lambda s: ((s[0][0], 0.5 * s[0][1]), *s[1:]),
-}
-
-
-@pytest.fixture
-def fresh_cells():
-    """An empty cell cache, the one for all four settings, emptied again after the test."""
-    chsh._cells.cache_clear()
-    yield
-    chsh._cells.cache_clear()
-
-
-@pytest.mark.parametrize("message", BROKEN_SPECTRA)
-def test_outcome_cells_are_checked_when_built(monkeypatch, fresh_cells, message):
-    original = chsh.alice_observable
-    edit = BROKEN_SPECTRA[message]
-
-    def broken(setting):
-        obs = original(setting)
-        return Observable(obs.label, obs.matrix, edit(obs.spectrum))
-
-    monkeypatch.setattr(chsh, "alice_observable", broken)
-    for build in (chsh._cells, lambda: chsh._table(bell_wigner_state())):
-        with pytest.raises(ValueError, match=message):
-            build()
-    for pair in SETTING_PAIRS:
-        with pytest.raises(ValueError, match=message):
-            joint_distribution(bell_wigner_state(), *pair)
-        with pytest.raises(ValueError, match=message):
-            sample_setting_products(bell_wigner_state(), *pair, 10, 1)
-    for report in (chsh_exact, lambda state: chsh_sampled(state, 1000, 1)):
-        with pytest.raises(ValueError, match=message):
-            report(bell_wigner_state())
-    assert chsh._cells.cache_info().currsize == 0

@@ -21,7 +21,7 @@ from bellwigner.chsh import (
     sample_products,
     sample_setting_products,
 )
-from bellwigner.interpretations import Branch, _friend_branches
+from bellwigner.interpretations import Branch, many_worlds_branches
 from bellwigner.states import FULL_LAYOUT, StateVector, bell_wigner_state
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -152,7 +152,7 @@ def test_exact_and_sampled_reject_weights_that_do_not_sum_to_one(total):
 def test_exact_and_sampled_reject_negative_weights():
     # the weights sum to 1, but a sampled table would be clipped and renormalized
     ensemble = [Branch(weight, branch.state, branch.label)
-                for weight, branch in zip((1.5, -0.5), _friend_branches(bell_wigner_state()))]
+                for weight, branch in zip((1.5, -0.5), many_worlds_branches(bell_wigner_state()))]
     with pytest.raises(ValueError, match="non-negative"):
         chsh_exact(ensemble)
     with pytest.raises(ValueError, match="non-negative"):

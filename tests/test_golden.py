@@ -13,10 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from bellwigner.chsh import _cells
 from bellwigner.cli import main
-from bellwigner.interpretations import _bell_wigner_branches
-from bellwigner.states import bell_wigner_state
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -88,17 +85,6 @@ def test_stdout_matches_golden(filename, argv):
         csv.writer(buffer, lineterminator="\n").writerows(csv.reader(io.StringIO(out.decode())))
         again = buffer.getvalue()
     assert again.encode() == out
-
-
-@pytest.mark.parametrize("name", ["agreement_macro", "agreement_macro_sampled", "chsh_sample"])
-def test_golden_is_the_same_with_cold_and_warm_caches(name):
-    # the Bell–Wigner state, its friend-record branches and the cell stack are built once
-    # per process: the first call, which builds them, and a later one print the same bytes
-    golden = (GOLDEN_DIR / f"{name}.json").read_bytes()
-    for cached in (bell_wigner_state, _bell_wigner_branches, _cells):
-        cached.cache_clear()
-    assert run_stdout(list(CASES[name])) == (0, golden)
-    assert run_stdout(list(CASES[name])) == (0, golden)
 
 
 if __name__ == "__main__":

@@ -8,17 +8,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bellwigner.chsh import SETTING_PAIRS, chsh_exact, joint_distribution
+from bellwigner.chsh import SETTING_PAIRS, chsh_exact, chsh_sampled, joint_distribution
 from bellwigner.interpretations import (
-    _ENSEMBLE_BUILDERS,
     ATOM_PARAMS,
     INSTRUMENT_PARAMS,
     MAX_DRAWS,
     FriendScale,
     GrwParams,
     GrwSimResult,
-    _bell_wigner_branches,
-    _friend_branches,
     agreement_report,
     grw_exact_probability,
     grw_linear_probability,
@@ -31,6 +28,7 @@ from bellwigner.states import (
     basis_labels,
     bell_wigner_state,
     correlate_friend,
+    entangled_pair,
     plus_photon,
 )
 
@@ -172,6 +170,24 @@ def test_many_worlds_recombination():
             assert b.weight == pytest.approx(abs(state.amplitudes[index]) ** 2, abs=1e-12)
 
 
+@pytest.mark.parametrize("state", [plus_photon(), entangled_pair()],
+                         ids=["plus_photon", "entangled_pair"])
+def test_many_worlds_branches_refuses_a_state_without_a_friend(state):
+    with pytest.raises(ValueError, match="expected a state with a friend subsystem"):
+        many_worlds_branches(state)
+
+
+def test_many_worlds_branches_of_the_bell_wigner_state_are_the_macroscopic_ensemble():
+    branches = many_worlds_branches(bell_wigner_state())
+    assert [b.label for b in branches] == ["F_h·F_h", "F_h·F_v", "F_v·F_h", "F_v·F_v"]
+    exact = agreement_report(FriendScale.macroscopic())
+    sampled = agreement_report(FriendScale.macroscopic(), shots=1000, seed=11, sampled=True)
+    for name in exact.backends:
+        # repr round-trips every float, so equal reprs mean equal bits
+        assert repr(exact.backends[name]) == repr(chsh_exact(branches)), name
+        assert repr(sampled.backends[name]) == repr(chsh_sampled(branches, 1000, 11)), name
+
+
 def test_many_worlds_drops_null_branch():
     amps = np.zeros(4, dtype=complex)
     amps[0] = 1.0
@@ -289,59 +305,6 @@ AGREEMENT_SCALES = {
 }
 
 
-@pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
-@pytest.mark.parametrize("case", AGREEMENT_SCALES)
-def test_agreement_runs_the_engine_once_per_distinct_ensemble(monkeypatch, case, sampled):
-    import bellwigner.interpretations as interp
-
-    scale, distinct, builds = AGREEMENT_SCALES[case]
-    engine = interp.chsh_engine
-    exact, sampled_run = engine.chsh_exact, engine.chsh_sampled
-    runs = []
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            runs.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(engine, "chsh_exact", counted(exact))
-    monkeypatch.setattr(engine, "chsh_sampled", counted(sampled_run))
-    monkeypatch.setattr(interp, "_friend_branches", counted(_friend_branches))
-    interp._bell_wigner_branches.cache_clear()
-    report = agreement_report(scale, shots=1000, seed=11, sampled=sampled)
-    assert runs.count("chsh_sampled" if sampled else "chsh_exact") == distinct
-    assert runs.count("_friend_branches") == builds
-    assert len(runs) == distinct + builds
-    # a second call in the same process reads the cached branches
-    runs.clear()
-    assert agreement_report(scale, shots=1000, seed=11, sampled=sampled) == report
-    assert runs.count("_friend_branches") == 0
-    assert len(runs) == distinct
-
-    # oracle: the engine run on every backend's ensemble in turn
-    state = bell_wigner_state()
-    for name, rule in _ENSEMBLE_BUILDERS.items():
-        ensemble = _friend_branches(state) if rule(scale) else state
-        expected = sampled_run(ensemble, 1000, 11) if sampled else exact(ensemble)
-        assert repr(report.backends[name].to_dict()) == repr(expected.to_dict()), name
-    assert report.all_equal == (distinct == 1)
-
-
-def test_bell_wigner_state_and_branches_are_built_once():
-    state = bell_wigner_state()
-    assert bell_wigner_state() is state
-    assert not state.amplitudes.flags.writeable
-    cached = _bell_wigner_branches()
-    assert type(cached) is tuple and _bell_wigner_branches() is cached
-    fresh = _friend_branches(state)
-    assert len(cached) == len(fresh) == 4
-    for kept, built in zip(cached, fresh):
-        assert kept.weight.hex() == built.weight.hex()
-        assert kept.label == built.label
-        assert kept.state.amplitudes.tobytes() == built.state.amplitudes.tobytes()
-
-
 def test_branch_document():
     branch = many_worlds_branches(correlate_friend(plus_photon()))[0]
     doc = branch.to_dict()
@@ -365,7 +328,7 @@ def full_states(draw):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(full_states())
 def test_friend_branches_dephase_without_changing_friend_records(state):
-    branches = _friend_branches(state)
+    branches = many_worlds_branches(state)
     assert sum(b.weight for b in branches) == pytest.approx(1.0, abs=1e-12)
     recombined = sum(math.sqrt(b.weight) * b.state.amplitudes for b in branches)
     assert np.linalg.norm(recombined - state.amplitudes) <= 1e-12
@@ -465,6 +428,17 @@ def test_grw_simulate_reads_its_trial_count_as_an_integer():
     assert type(result.collapsed_fraction) is float
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         grw_simulate(params, 1000.0, 3)
+
+
+def test_grw_simulate_reads_its_seed_as_an_integer():
+    params = GrwParams(1e25, 1e-9, 1e-16)
+    for seed, numpy_seed in ((7, np.int64(7)), (2 ** 64 - 1, np.uint64(2 ** 64 - 1))):
+        result = grw_simulate(params, 1000, seed)
+        assert repr(grw_simulate(params, 1000, numpy_seed)) == repr(result)
+    # None would draw from the operating system's entropy: no longer reproducible
+    for bad in (None, 1.5):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            grw_simulate(params, 1000, bad)
 
 
 def grw_peak_bytes(params, trials):

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from bellwigner import chsh
 from bellwigner.linalg import commutator_norm, expectation
 from bellwigner.observables import (
     OBSERVABLE_LABELS,
@@ -251,12 +250,12 @@ def test_observable_stores_a_copy_as_float64_when_every_imaginary_part_is_zero()
 
 
 def test_every_operator_the_package_builds_is_float64():
-    operators = [chsh._cells()[1]]
+    operators = []
     for label in OBSERVABLE_LABELS:
         obs = make_observable(label)
         operators += [obs.matrix, lift(obs)]
         operators += [p for _, p in obs.spectrum] + [p for _, p in lifted_spectrum(obs)]
-    assert len(operators) == 1 + 4 * 2 + 2 * (2 + 2 + 3 + 3)
+    assert len(operators) == 4 * 2 + 2 * (2 + 2 + 3 + 3)
     assert all(operator.dtype == np.float64 for operator in operators)
 
 

@@ -17,10 +17,10 @@ from bellwigner.interpretations import (
     INSTRUMENT_PARAMS,
     Branch,
     GrwParams,
-    _friend_branches,
     agreement_report,
     grw_exact_probability,
     grw_simulate,
+    many_worlds_branches,
 )
 from bellwigner.states import bell_wigner_state
 
@@ -60,7 +60,7 @@ CHSH_SHOTS = 1000
 # even 80 z-scores put an SE off by 2x (log variance +-1.39) outside the gate (+-0.95)
 CHSH_CASES = {
     "bell_wigner": (bell_wigner_state(), range(160)),
-    "dephased": (_friend_branches(bell_wigner_state()), range(80)),
+    "dephased": (many_worlds_branches(bell_wigner_state()), range(80)),
 }
 
 

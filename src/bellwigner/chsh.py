@@ -31,10 +31,10 @@ correctly rounded in any order, CPU or Python. So an ensemble's tables and exact
 correlators are those of the mixture the sampler draws from. Nothing here calls
 ``linalg.expectation``.
 
-Sampling draws the outcome-cell counts of each setting pair (i, j) at once,
-so time and memory do not grow with the shot count, from a generator seeded
-by hashing (seed, i, j): the four settings can be sampled in any order,
-serially or in parallel, and reproduce identical reports bit for bit.
+Sampling draws each setting pair's outcome-cell counts at once, so time and memory
+do not grow with the shot count, from a generator seeded by hashing (seed, i, j):
+settings sampled in any order, serially or in parallel, give identical reports bit for
+bit. Every sampled route draws through ``sample_products``, the one gate of shots and seeds.
 """
 
 from __future__ import annotations
@@ -218,11 +218,16 @@ def sample_products(
 ) -> tuple[float, float]:
     """Mean and ddof=1 variance of `shots` outcome products drawn from one setting's table.
 
-    One multinomial draw gives every cell's count, in table order, and the
-    statistics follow from the counts; no per-shot array is built. The
-    generator is seeded from the full ``stream_key`` tuple, so every setting
-    (and caller) owns an independent, reproducible stream.
+    The one gate of every sampled route: `shots` and each `stream_key` entry are read with
+    ``operator.index`` (floats and None raise TypeError), and `shots` must be 2..2**63 - 1.
+    One multinomial draw gives every cell's count, in table order, and the statistics follow
+    from the counts, with no per-shot array; the whole key seeds one reproducible stream.
     """
+    shots, stream_key = operator.index(shots), tuple(map(operator.index, stream_key))
+    if shots < 2:
+        raise ValueError("shots_per_setting must be at least 2 (sample variance)")
+    if shots > 2 ** 63 - 1:  # outcome counts are int64
+        raise ValueError(f"shots {shots} exceeds the bound of 2**63 - 1 per setting")
     probs = np.maximum(probabilities, 0.0)  # np.clip with no upper bound, in a third the time
     total = probs.sum()
     if not 0.0 < total < math.inf:  # also refuses nan
@@ -240,11 +245,11 @@ def sample_setting_products(
     state: StateVector | Sequence, i: int, j: int, shots: int, seed: int
 ) -> tuple[float, float]:
     """Mean and ddof=1 variance of the products a*b of `shots` joint outcomes of setting
-    (i, j), drawn from the mixture table of an ensemble: the table of its Born-weighted G."""
-    _, _, products, rows, _ = _cells()
-    table = _table(state)
-    cells = rows[check_setting(i), check_setting(j)]
-    return sample_products(table[cells], products[cells], shots, (seed, i, j))
+    (i, j), drawn through the one gate, ``sample_products``, from ``joint_distribution``."""
+    table = joint_distribution(state, i, j)
+    probabilities = np.array([cell.joint_probability for cell in table])
+    products = np.array([cell.a_value * cell.b_value for cell in table])
+    return sample_products(probabilities, products, shots, (seed, i, j))
 
 
 def report_from_setting_products(
@@ -252,10 +257,10 @@ def report_from_setting_products(
 ) -> ChshReport:
     """Assemble a sampled report from per-setting (mean, variance) pairs.
 
-    The standard error combines per-setting sample variances in quadrature:
-    SE = sqrt(sum_ij var_ij / shots); sigma_violation = (S - 2) / SE, or
-    None when SE is 0 (every setting drew a single outcome product).
+    The standard error combines per-setting sample variances in quadrature: SE = sqrt(sum_ij
+    var_ij / shots); sigma_violation = (S - 2) / SE, or None when SE is 0 (one product each).
     """
+    shots = operator.index(shots)  # a numpy integer becomes an int that JSON can serialize
     correlators = {pair: setting_stats[pair][0] for pair in SETTING_PAIRS}
     s_value = s_from_correlators(correlators)
     variances = functools.reduce(operator.add, (setting_stats[p][1] for p in SETTING_PAIRS))
@@ -268,13 +273,8 @@ def report_from_setting_products(
 
 
 def chsh_sampled(state: StateVector | Sequence, shots_per_setting: int, seed: int) -> ChshReport:
-    """Monte Carlo CHSH run on a state or an ensemble: seeded, reproducible bit for bit."""
-    # floats and None raise TypeError; numpy integers become an int that JSON can serialize
-    shots_per_setting, seed = operator.index(shots_per_setting), operator.index(seed)
-    if shots_per_setting < 2:
-        raise ValueError("shots_per_setting must be at least 2 (sample variance)")
-    if shots_per_setting > 2 ** 63 - 1:  # outcome counts are int64
-        raise ValueError(f"shots {shots_per_setting} exceeds the bound of 2**63 - 1 per setting")
+    """Monte Carlo CHSH run on a state or an ensemble, seeded and reproducible bit for bit;
+    ``sample_products``, the one gate, checks shots and seed after a bad layout is refused."""
     _, _, products, rows, _ = _cells()
     table = _table(state)
     setting_stats = {(i, j): sample_products(table[rows[i, j]], products[rows[i, j]],

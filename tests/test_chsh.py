@@ -1,6 +1,7 @@
 """Tests for the CHSH engine: exact values, classical bound, sampling."""
 
 import itertools
+import json
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -377,13 +378,63 @@ def test_sampled_shot_count_must_be_an_integer():
     assert type(report.shots_per_setting) is int
 
 
-def test_sampled_seed_must_be_an_integer():
+def sampled_routes():
+    """The three public sampled routes, each a function of (shots, seed) on one state."""
     state = bell_wigner_state()
-    for seed, numpy_seed in ((7, np.int64(7)), (2 ** 64 - 1, np.uint64(2 ** 64 - 1))):
-        assert repr(chsh_sampled(state, 100, numpy_seed)) == repr(chsh_sampled(state, 100, seed))
+    cells = joint_distribution(state, 1, 1)
+    probabilities = np.array([cell.joint_probability for cell in cells])
+    products = np.array([cell.a_value * cell.b_value for cell in cells])
+    return {
+        "chsh_sampled": lambda shots, seed: chsh_sampled(state, shots, seed),
+        "sample_setting_products":
+            lambda shots, seed: sample_setting_products(state, 1, 1, shots, seed),
+        "sample_products":
+            lambda shots, seed: sample_products(probabilities, products, shots, (seed, 1, 1)),
+    }
+
+
+def refusals(route_args):
+    """The (type, message) that each route raises on its arguments."""
+    refused = {}
+    for name, route in sampled_routes().items():
+        with pytest.raises(Exception) as caught:
+            route(*route_args)
+        refused[name] = (caught.type, str(caught.value))
+    return refused
+
+
+def test_sampled_seed_must_be_an_integer():
+    # every sampled route reads its seed through the one gate in sample_products
+    for name, route in sampled_routes().items():
+        for seed, numpy_seed in ((7, np.int64(7)), (2 ** 64 - 1, np.uint64(2 ** 64 - 1))):
+            assert repr(route(100, numpy_seed)) == repr(route(100, seed)), name
     for bad in (None, 1.5):
-        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-            chsh_sampled(state, 100, bad)
+        refused = refusals((100, bad))
+        assert len(set(refused.values())) == 1, refused
+        kind, message = refused["sample_products"]
+        assert kind is TypeError and "cannot be interpreted as an integer" in message
+
+
+@pytest.mark.parametrize("shots, kind, message", [
+    (0, ValueError, r"shots_per_setting must be at least 2 \(sample variance\)"),
+    (1, ValueError, r"shots_per_setting must be at least 2 \(sample variance\)"),
+    (10.5, TypeError, "cannot be interpreted as an integer"),
+    (2 ** 63, ValueError, r"shots 9223372036854775808 exceeds the bound of 2\*\*63 - 1"),
+], ids=["zero", "one", "fraction", "over_int64"])
+def test_every_sampled_route_refuses_the_same_shot_counts(shots, kind, message):
+    refused = refusals((shots, 5))
+    assert len(set(refused.values())) == 1, refused
+    assert refused["sample_products"][0] is kind
+    assert re.search(message, refused["sample_products"][1])
+
+
+def test_a_report_of_numpy_shots_serializes_to_json():
+    stats = {pair: sample_setting_products(bell_wigner_state(), *pair, 1000, 3)
+             for pair in SETTING_PAIRS}
+    report = report_from_setting_products(stats, np.int64(1000))
+    assert type(report.shots_per_setting) is int
+    assert json.loads(json.dumps(report.to_dict()))["shots_per_setting"] == 1000
+    assert report == report_from_setting_products(stats, 1000)
 
 
 def test_sample_variance_from_counts_does_not_cancel():

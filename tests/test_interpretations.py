@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellwigner.chsh import SETTING_PAIRS, chsh_exact, chsh_sampled, joint_distribution
@@ -33,6 +33,7 @@ from bellwigner.states import (
 )
 
 from oracle import ket
+from test_chsh_properties import full_states
 
 PAIR = ("photon", "friend")
 
@@ -311,18 +312,6 @@ def test_branch_document():
     assert doc["label"] == "F_h"
     assert doc["weight"] == pytest.approx(0.5)
     assert doc["state"]["layout"] == ["photon", "friend"]
-
-
-unit_floats = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
-
-
-@st.composite
-def full_states(draw):
-    parts = np.array(draw(st.lists(unit_floats, min_size=32, max_size=32)))
-    amps = parts[:16] + 1j * parts[16:]
-    norm = np.linalg.norm(amps)
-    assume(norm > 1e-3)
-    return StateVector(FULL_LAYOUT, amps / norm)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

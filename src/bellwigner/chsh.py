@@ -7,11 +7,12 @@ sides act on disjoint factors and commute; no sequential collapse is involved.
 
 The engine takes a 16-dim state over ``states.FULL_LAYOUT`` or an ensemble,
 a sequence of branches with ``weight`` and such a ``state``, such as
-``interpretations.Branch``; a bare state is the ensemble of itself with
-weight 1. A state was checked (finite, normalized) when it was built, so
-the engine checks only its layout and refuses any other subsystem order,
-such as the friends in the photon slots. An ensemble's correlators and
-outcome tables are the Born-weighted averages of its branches'.
+``interpretations.Branch`` (not a tuple, which would read as an ensemble); a bare
+state is the ensemble of itself with weight 1. A state was checked (finite,
+normalized) when it was built, so the engine checks only its layout and refuses any
+other subsystem order, such as the friends in the photon slots. An ensemble's
+correlators and joint tables, lists of ``JointOutcome`` NamedTuples, are the
+Born-weighted averages of its branches'.
 
 The outcome cells of the four setting pairs, the products Pa (x) Pb of the 4x4
 side projectors, are checked once and cached as one read-only real (25, 36)
@@ -31,10 +32,10 @@ correctly rounded in any order, CPU or Python. So an ensemble's tables and exact
 correlators are those of the mixture the sampler draws from. Nothing here calls
 ``linalg.expectation``.
 
-Sampling draws each setting pair's outcome-cell counts at once, so time and memory
-do not grow with the shot count, from a generator seeded by hashing (seed, i, j):
-settings sampled in any order, serially or in parallel, give identical reports bit for
-bit. Every sampled route draws through ``sample_products``, the one gate of shots and seeds.
+Sampling draws each setting pair's outcome-cell counts at once, so time and memory do not
+grow with the shot count, from a generator seeded by hashing (seed, i, j): settings sampled
+in any order, serially or in parallel, give identical reports bit for bit. Every sampled
+route draws through ``sample_products``, the one gate of shots, seeds and tables.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,20 +68,15 @@ def s_from_correlators(correlators: dict[tuple[int, int], float]) -> float:
     )
 
 
-@dataclass(frozen=True)
-class JointOutcome:
-    """One cell of the joint outcome table of a commuting setting pair."""
+class JointOutcome(NamedTuple):
+    """One cell of a commuting setting pair's joint outcome table; its document is its fields."""
 
     a_value: float
     b_value: float
     joint_probability: float
 
     def to_dict(self) -> dict:
-        return {
-            "a_value": self.a_value,
-            "b_value": self.b_value,
-            "joint_probability": self.joint_probability,
-        }
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -210,6 +207,13 @@ def joint_distribution(state: StateVector | Sequence, i: int, j: int) -> list[Jo
     return [JointOutcome(*outcome, p) for outcome, p in zip(outcomes[cells], table[cells].tolist())]
 
 
+def check_integer(value) -> int:
+    """``operator.index(value)``, the rule of every count and seed, refusing a bool too."""
+    if isinstance(value, bool):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(value)
+
+
 def sample_products(
     probabilities: np.ndarray,
     products: np.ndarray,
@@ -219,21 +223,27 @@ def sample_products(
     """Mean and ddof=1 variance of `shots` outcome products drawn from one setting's table.
 
     The one gate of every sampled route: `shots` and each `stream_key` entry are read with
-    ``operator.index`` (floats and None raise TypeError), and `shots` must be 2..2**63 - 1.
-    One multinomial draw gives every cell's count, in table order, and the statistics follow
-    from the counts, with no per-shot array; the whole key seeds one reproducible stream.
+    ``check_integer``, `shots` must be 2..2**63 - 1, and the arrays 1-D of one length with
+    finite products. One multinomial draw gives every cell's count, in table order, and the
+    statistics follow from the counts, with no per-shot array; the key seeds one stream.
     """
-    shots, stream_key = operator.index(shots), tuple(map(operator.index, stream_key))
+    shots, stream_key = check_integer(shots), tuple(map(check_integer, stream_key))
     if shots < 2:
         raise ValueError("shots_per_setting must be at least 2 (sample variance)")
     if shots > 2 ** 63 - 1:  # outcome counts are int64
         raise ValueError(f"shots {shots} exceeds the bound of 2**63 - 1 per setting")
     probs = np.maximum(probabilities, 0.0)  # np.clip with no upper bound, in a third the time
+    values = np.asarray(products, dtype=float)
+    if probs.ndim != 1 or values.shape != probs.shape:  # zip would cut the longer one
+        raise ValueError("probabilities and products must be 1-D of one length, "
+                         f"got shapes {probs.shape} and {values.shape}")
+    values = values.tolist()
+    if not all(map(math.isfinite, values)):
+        raise ValueError("outcome products must be finite")
     total = probs.sum()
     if not 0.0 < total < math.inf:  # also refuses nan
         raise ValueError(f"outcome probabilities sum to {total}, not a positive finite number")
     counts = np.random.default_rng(stream_key).multinomial(shots, probs / total).tolist()
-    values = np.asarray(products, dtype=float).tolist()
     # fsum: correctly rounded on any CPU or Python. n (x - m)^2 does not cancel as
     # n x^2 - N m^2 does; a product, not ** 2, which calls C pow
     mean = math.fsum([n * x for n, x in zip(counts, values)]) / shots
@@ -246,10 +256,8 @@ def sample_setting_products(
 ) -> tuple[float, float]:
     """Mean and ddof=1 variance of the products a*b of `shots` joint outcomes of setting
     (i, j), drawn through the one gate, ``sample_products``, from ``joint_distribution``."""
-    table = joint_distribution(state, i, j)
-    probabilities = np.array([cell.joint_probability for cell in table])
-    products = np.array([cell.a_value * cell.b_value for cell in table])
-    return sample_products(probabilities, products, shots, (seed, i, j))
+    a_values, b_values, probabilities = np.array(joint_distribution(state, i, j)).T
+    return sample_products(probabilities, a_values * b_values, shots, (seed, i, j))
 
 
 def report_from_setting_products(
@@ -260,7 +268,7 @@ def report_from_setting_products(
     The standard error combines per-setting sample variances in quadrature: SE = sqrt(sum_ij
     var_ij / shots); sigma_violation = (S - 2) / SE, or None when SE is 0 (one product each).
     """
-    shots = operator.index(shots)  # a numpy integer becomes an int that JSON can serialize
+    shots = check_integer(shots)  # a numpy integer becomes an int that JSON can serialize
     correlators = {pair: setting_stats[pair][0] for pair in SETTING_PAIRS}
     s_value = s_from_correlators(correlators)
     variances = functools.reduce(operator.add, (setting_stats[p][1] for p in SETTING_PAIRS))

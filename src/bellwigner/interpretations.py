@@ -26,13 +26,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import chsh as chsh_engine
-from .chsh import ChshReport
+from .chsh import ChshReport, check_integer
 from .linalg import DEFAULT_TOL
 from .states import FRIEND_LABELS, StateVector, bell_wigner_state
 
@@ -93,16 +93,14 @@ def grw_exact_probability(params: GrwParams) -> float:
     return -math.expm1(-params.total_rate * params.duration_s)
 
 
-@dataclass(frozen=True)
-class GrwSimResult:
+class GrwSimResult(NamedTuple):
+    """A collapse simulation's collapsed fraction and mean collapse time (None: no collapse)."""
+
     collapsed_fraction: float
     mean_collapse_time_s: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "collapsed_fraction": self.collapsed_fraction,
-            "mean_collapse_time_s": self.mean_collapse_time_s,
-        }
+        return self._asdict()
 
 
 # Most trials per grw_simulate call; the collapse times take 8 B per collapsed
@@ -120,7 +118,7 @@ def grw_simulate(params: GrwParams, trials: int, seed: int) -> GrwSimResult:
     uniforms u in [0, 1), t = -log1p(-(1 - u) * p) / (n*rate), clamped at T.
     Only collapsed trials cost a draw; memory is their times, 8 B each.
     """
-    trials, seed = operator.index(trials), operator.index(seed)
+    trials, seed = check_integer(trials), check_integer(seed)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if trials > MAX_DRAWS:
@@ -147,7 +145,7 @@ def grw_simulate(params: GrwParams, trials: int, seed: int) -> GrwSimResult:
 
 @dataclass(frozen=True)
 class Branch:
-    """One normalized component of a superposition with its Born weight."""
+    """A normalized branch and its Born weight; not a tuple, which ``chsh`` reads as an ensemble."""
 
     weight: float
     state: StateVector
@@ -248,20 +246,16 @@ _ENSEMBLE_BUILDERS = {
 }
 
 
-@dataclass(frozen=True)
-class AgreementReport:
-    """CHSH predictions of the three backends side by side."""
+class AgreementReport(NamedTuple):
+    """CHSH predictions of the three backends side by side; its document holds theirs by name."""
 
     mode: str
     backends: dict[str, ChshReport]
     all_equal: bool
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "backends": {name: report.to_dict() for name, report in self.backends.items()},
-            "all_equal": self.all_equal,
-        }
+        backends = {name: report.to_dict() for name, report in self.backends.items()}
+        return {**self._asdict(), "backends": backends}  # the key keeps its place
 
 
 def agreement_report(

@@ -13,6 +13,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,15 +151,17 @@ def lifted_spectrum(obs: Observable) -> tuple[tuple[float, np.ndarray], ...]:
     return tuple((value, _embed(obs.side, p)) for value, p in obs.spectrum)
 
 
-@dataclass(frozen=True)
-class AlgebraCheck:
+class AlgebraCheck(NamedTuple):
+    """One identity of :func:`verify_algebra`: its name, verdict and residual."""
+
     name: str
     passed: bool
     residual: float
 
 
-@dataclass(frozen=True)
-class AlgebraReport:
+class AlgebraReport(NamedTuple):
+    """Every check of :func:`verify_algebra`, in order, and whether all of them passed."""
+
     checks: tuple[AlgebraCheck, ...]
 
     @property
@@ -166,13 +169,7 @@ class AlgebraReport:
         return all(check.passed for check in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "residual": c.residual}
-                for c in self.checks
-            ],
-        }
+        return {"all_passed": self.all_passed, "checks": [check._asdict() for check in self.checks]}
 
 
 _EXPECTED_SPECTRA = {

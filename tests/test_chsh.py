@@ -408,7 +408,7 @@ def test_sampled_seed_must_be_an_integer():
     for name, route in sampled_routes().items():
         for seed, numpy_seed in ((7, np.int64(7)), (2 ** 64 - 1, np.uint64(2 ** 64 - 1))):
             assert repr(route(100, numpy_seed)) == repr(route(100, seed)), name
-    for bad in (None, 1.5):
+    for bad in (None, 1.5, True):
         refused = refusals((100, bad))
         assert len(set(refused.values())) == 1, refused
         kind, message = refused["sample_products"]
@@ -420,7 +420,8 @@ def test_sampled_seed_must_be_an_integer():
     (1, ValueError, r"shots_per_setting must be at least 2 \(sample variance\)"),
     (10.5, TypeError, "cannot be interpreted as an integer"),
     (2 ** 63, ValueError, r"shots 9223372036854775808 exceeds the bound of 2\*\*63 - 1"),
-], ids=["zero", "one", "fraction", "over_int64"])
+    (True, TypeError, "^'bool' object cannot be interpreted as an integer$"),
+], ids=["zero", "one", "fraction", "over_int64", "bool"])
 def test_every_sampled_route_refuses_the_same_shot_counts(shots, kind, message):
     refused = refusals((shots, 5))
     assert len(set(refused.values())) == 1, refused
@@ -435,6 +436,9 @@ def test_a_report_of_numpy_shots_serializes_to_json():
     assert type(report.shots_per_setting) is int
     assert json.loads(json.dumps(report.to_dict()))["shots_per_setting"] == 1000
     assert report == report_from_setting_products(stats, 1000)
+    # the same rule as the gate's: True would read as one shot
+    with pytest.raises(TypeError, match="^'bool' object cannot be interpreted as an integer$"):
+        report_from_setting_products(stats, True)
 
 
 def test_sample_variance_from_counts_does_not_cancel():
@@ -460,6 +464,27 @@ def test_sample_products_refuses_a_sum_that_is_not_positive_and_finite(probabili
     with np.errstate(over="ignore"), pytest.raises(
             ValueError, match=f"sum to {total}, not a positive finite number$"):
         sample_products(np.array(probabilities), np.array([1.0, -1.0]), 10, (0,))
+
+
+@pytest.mark.parametrize("probabilities, products, message", [
+    ([0.5, 0.5], [1.0], r"got shapes \(2,\) and \(1,\)"),
+    ([0.5, 0.5], [1.0, -1.0, 1.0], r"got shapes \(2,\) and \(3,\)"),
+    ([[0.5, 0.5]], [[1.0, -1.0]], r"got shapes \(1, 2\) and \(1, 2\)"),
+    ([0.5, 0.5], [1.0, math.nan], "outcome products must be finite"),
+    ([0.5, 0.5], [math.inf, -1.0], "outcome products must be finite"),
+], ids=["short", "long", "two_dim", "nan", "inf"])
+def test_sample_products_refuses_a_table_that_is_not_one_finite_row(probabilities, products,
+                                                                    message):
+    # zipping counts with products would cut the longer, and a nan product gives (nan, nan)
+    with pytest.raises(ValueError, match=message):
+        sample_products(np.array(probabilities), np.array(products), 1000, (0,))
+
+
+def test_a_bool_is_no_entry_of_a_stream_key():
+    probabilities, products = np.array([0.5, 0.5]), np.array([1.0, -1.0])
+    for key in ((True,), (0, False, 1), (0, 1, True)):
+        with pytest.raises(TypeError, match="^'bool' object cannot be interpreted as an integer$"):
+            sample_products(probabilities, products, 1000, key)
 
 
 def test_sample_products_floor_has_the_bits_of_clip():

@@ -417,6 +417,9 @@ def test_grw_simulate_reads_its_trial_count_as_an_integer():
     assert type(result.collapsed_fraction) is float
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         grw_simulate(params, 1000.0, 3)
+    # True would run one trial; the sampled routes refuse a bool shot count the same way
+    with pytest.raises(TypeError, match="^'bool' object cannot be interpreted as an integer$"):
+        grw_simulate(params, True, 1)
 
 
 def test_grw_simulate_reads_its_seed_as_an_integer():
@@ -428,6 +431,8 @@ def test_grw_simulate_reads_its_seed_as_an_integer():
     for bad in (None, 1.5):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             grw_simulate(params, 1000, bad)
+    with pytest.raises(TypeError, match="^'bool' object cannot be interpreted as an integer$"):
+        grw_simulate(params, 1000, False)
 
 
 def grw_peak_bytes(params, trials):

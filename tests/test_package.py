@@ -14,6 +14,8 @@ import pytest
 
 import bellwigner
 import replay_console
+from bellwigner import (FriendScale, GrwParams, agreement_report, bell_wigner_state,
+                        grw_simulate, joint_distribution, verify_algebra)
 from test_cli import REFUSED_RUNS, USAGE_ERRORS
 from test_golden import golden_cases
 
@@ -101,3 +103,35 @@ def test_a_dev_mode_process_exits_cleanly_with_the_golden_bytes(tmp_path, argv, 
     else:
         written = proc.stdout
     assert written == (GOLDEN_DIR / golden).read_bytes()
+
+
+# The five result records that check nothing, each built by its public route, with its
+# fields in order and its document's keys in order; a check's document is its entry in
+# the algebra report's.
+RESULT_RECORDS = {
+    "JointOutcome": (lambda: joint_distribution(bell_wigner_state(), 0, 0)[0],
+                     ("a_value", "b_value", "joint_probability"),
+                     ("a_value", "b_value", "joint_probability")),
+    "GrwSimResult": (lambda: grw_simulate(GrwParams(1e25, 1e-9), 100, 1),
+                     ("collapsed_fraction", "mean_collapse_time_s"),
+                     ("collapsed_fraction", "mean_collapse_time_s")),
+    "AgreementReport": (lambda: agreement_report(FriendScale.macroscopic()),
+                        ("mode", "backends", "all_equal"), ("mode", "backends", "all_equal")),
+    "AlgebraCheck": (lambda: verify_algebra().checks[0],
+                     ("name", "passed", "residual"), ("name", "passed", "residual")),
+    "AlgebraReport": (lambda: verify_algebra(), ("checks",), ("all_passed", "checks")),
+}
+
+
+@pytest.mark.parametrize("name", RESULT_RECORDS)
+def test_a_result_record_is_frozen_with_a_field_repr_and_an_ordered_document(name):
+    build, fields, keys = RESULT_RECORDS[name]
+    record = build()
+    assert type(record).__name__ == name
+    for attribute in (fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attribute, None)
+    assert repr(record) == f"{name}(" + ", ".join(
+        f"{field}={getattr(record, field)!r}" for field in fields) + ")"
+    doc = verify_algebra().to_dict()["checks"][0] if name == "AlgebraCheck" else record.to_dict()
+    assert type(doc) is dict and tuple(doc) == keys

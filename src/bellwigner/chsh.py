@@ -45,14 +45,13 @@ import itertools
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
 # nothing here calls expectation, lift or lifted_spectrum: bench/spans.py rebinds them here
-from .linalg import DEFAULT_TOL, expectation, frobenius_norm, is_hermitian, kron
+from .linalg import DEFAULT_TOL, Record, expectation
 from .observables import alice_observable, bob_observable, check_setting, lift, lifted_spectrum
 from .states import FULL_LAYOUT, StateVector
 
@@ -79,35 +78,37 @@ class JointOutcome(NamedTuple):
         return self._asdict()
 
 
-@dataclass(frozen=True)
-class ChshReport:
+class ChshReport(Record):
     """Four correlators and the S value, exact or sampled.
 
     ``shots_per_setting``, ``standard_error`` and ``sigma_violation`` are
     None in exact mode; ``sigma_violation`` is also None when the standard
     error is 0. The stored ``s_value`` always recomputes from the
-    correlators within 1e-12, and exact-mode correlators cannot exceed 1 in
-    magnitude beyond rounding.
+    correlators within 1e-12, and no correlator, a mean of outcome products
+    in {-1, 0, 1}, can exceed 1 in magnitude beyond rounding.
     """
 
-    mode: str
-    correlators: dict[tuple[int, int], float]
-    s_value: float
-    shots_per_setting: int | None = None
-    standard_error: float | None = None
-    sigma_violation: float | None = None
+    __slots__ = ("mode", "correlators", "s_value", "shots_per_setting", "standard_error",
+                 "sigma_violation")
 
-    def __post_init__(self):
-        if self.mode not in ("exact", "sampled"):
-            raise ValueError(f"unknown report mode {self.mode!r}")
-        if self.correlators.keys() != _PAIR_SET:
+    def __init__(self, mode: str, correlators: dict[tuple[int, int], float], s_value: float,
+                 shots_per_setting: int | None = None, standard_error: float | None = None,
+                 sigma_violation: float | None = None):
+        if mode not in ("exact", "sampled"):
+            raise ValueError(f"unknown report mode {mode!r}")
+        if correlators.keys() != _PAIR_SET:
             raise ValueError("correlator map must cover all four setting pairs")
-        if not abs(s_from_correlators(self.correlators) - self.s_value) <= DEFAULT_TOL:  # nan fails
+        if not abs(s_from_correlators(correlators) - s_value) <= DEFAULT_TOL:  # nan fails
             raise ValueError("s_value does not recompute from the stored correlators")
-        if self.mode == "exact":
-            worst = max(map(abs, self.correlators.values()))
-            if not worst <= 1.0 + DEFAULT_TOL:
-                raise ValueError(f"exact correlator magnitude {worst} exceeds 1")
+        worst = max(map(abs, correlators.values()))
+        if not worst <= 1.0 + DEFAULT_TOL:
+            raise ValueError(f"{mode} correlator magnitude {worst} exceeds 1")
+        object.__setattr__(self, "mode", mode)  # not Record's loop: ~0.5 us less a report
+        object.__setattr__(self, "correlators", correlators)
+        object.__setattr__(self, "s_value", s_value)
+        object.__setattr__(self, "shots_per_setting", shots_per_setting)
+        object.__setattr__(self, "standard_error", standard_error)
+        object.__setattr__(self, "sigma_violation", sigma_violation)
 
     def to_dict(self) -> dict:
         return {
@@ -130,26 +131,33 @@ def _cells() -> tuple[tuple, np.ndarray, np.ndarray, MappingProxyType, np.ndarra
     of those entries' (r, c) into a 16-dim state's amplitudes viewed as interleaved (x, y).
 
     Each cell, real because its projectors are, must be finite and Hermitian, and each
-    pair's cells must sum to the identity; raises ValueError otherwise, caching nothing.
+    pair's cells must sum to the identity; raises ValueError otherwise, naming the first
+    failing cell or pair, and caches nothing.
     """
-    outcomes, cells, rows = [], [], {}
+    outcomes, projectors, rows = [], [], {}
     for i, j in SETTING_PAIRS:
-        first = len(cells)
+        first = len(outcomes)
         for a_value, pa in alice_observable(i).spectrum:
             for b_value, pb in bob_observable(j).spectrum:
-                cell = kron(pa, pb)
-                if not is_hermitian(cell):
-                    raise ValueError(f"outcome cell ({a_value}, {b_value}) of setting ({i}, {j}) "
-                                     "is not Hermitian")
                 outcomes.append((a_value, b_value))
-                cells.append(cell.reshape(256))
-        rows[i, j] = slice(first, len(cells))
-        residual = frobenius_norm(np.sum(cells[first:], axis=0).reshape(16, 16) - np.eye(16))
-        if residual > DEFAULT_TOL:
+                projectors.append((pa, pb))
+        rows[i, j] = slice(first, len(outcomes))
+    pa, pb = np.array(projectors).transpose(1, 0, 2, 3)  # two (25, 4, 4) stacks
+    cells = (pa[:, :, None, :, None] * pb[:, None, :, None, :]).reshape(25, 256)  # kron layout
+    if not np.isfinite(cells).all():
+        raise ValueError("matrix entries must be finite")
+    asymmetry = cells.reshape(25, 16, 16) - cells.reshape(25, 16, 16).transpose(0, 2, 1)
+    hermitian = np.sqrt((asymmetry * asymmetry).sum(axis=(1, 2))) <= DEFAULT_TOL
+    for n in np.flatnonzero(~hermitian)[:1]:  # the first cell that is not
+        setting = next(pair for pair, cut in rows.items() if cut.start <= n < cut.stop)
+        raise ValueError(f"outcome cell {outcomes[n]} of setting {setting} is not Hermitian")
+    sums = np.add.reduceat(cells, [cut.start for cut in rows.values()]) - np.eye(16).reshape(256)
+    for (i, j), residual in zip(rows, np.sqrt((sums * sums).sum(axis=1)).tolist()):
+        if not residual <= DEFAULT_TOL:
             raise ValueError(f"outcome cells of setting ({i}, {j}) sum to the identity "
                              f"only within {residual:.3e}")
-    columns = np.flatnonzero(np.any(cells, axis=0))
-    stack = np.array([cell[columns] for cell in cells])  # C order: each row sums pairwise
+    columns = np.flatnonzero(cells.any(axis=0))
+    stack = np.ascontiguousarray(cells[:, columns])  # C order: each row sums pairwise
     products = np.array([a_value * b_value for a_value, b_value in outcomes])
     gather = 2 * np.array(np.divmod(columns, 16))[:, None] + [[0], [1]]  # [[2r, 2r+1], [2c, 2c+1]]
     for array in (stack, products, gather):
@@ -214,6 +222,16 @@ def check_integer(value) -> int:
     return operator.index(value)
 
 
+def _check_shots(shots) -> int:
+    """``check_integer(shots)``, which must be 2..2**63 - 1: the rule of every sampled count."""
+    shots = check_integer(shots)
+    if shots < 2:
+        raise ValueError("shots_per_setting must be at least 2 (sample variance)")
+    if shots > 2 ** 63 - 1:  # outcome counts are int64
+        raise ValueError(f"shots {shots} exceeds the bound of 2**63 - 1 per setting")
+    return shots
+
+
 def sample_products(
     probabilities: np.ndarray,
     products: np.ndarray,
@@ -227,11 +245,7 @@ def sample_products(
     finite products. One multinomial draw gives every cell's count, in table order, and the
     statistics follow from the counts, with no per-shot array; the key seeds one stream.
     """
-    shots, stream_key = check_integer(shots), tuple(map(check_integer, stream_key))
-    if shots < 2:
-        raise ValueError("shots_per_setting must be at least 2 (sample variance)")
-    if shots > 2 ** 63 - 1:  # outcome counts are int64
-        raise ValueError(f"shots {shots} exceeds the bound of 2**63 - 1 per setting")
+    shots, stream_key = _check_shots(shots), tuple(map(check_integer, stream_key))
     probs = np.maximum(probabilities, 0.0)  # np.clip with no upper bound, in a third the time
     values = np.asarray(products, dtype=float)
     if probs.ndim != 1 or values.shape != probs.shape:  # zip would cut the longer one
@@ -267,12 +281,19 @@ def report_from_setting_products(
 
     The standard error combines per-setting sample variances in quadrature: SE = sqrt(sum_ij
     var_ij / shots); sigma_violation = (S - 2) / SE, or None when SE is 0 (one product each).
+    Raises TypeError or ValueError unless shots meet ``sample_products``' rule and the map
+    holds the four pairs, each with a finite variance >= 0 and a mean of magnitude <= 1.
     """
-    shots = check_integer(shots)  # a numpy integer becomes an int that JSON can serialize
+    shots = _check_shots(shots)  # a numpy integer becomes an int that JSON can serialize
+    if setting_stats.keys() != _PAIR_SET:
+        raise ValueError("setting statistics must cover exactly the four setting pairs")
     correlators = {pair: setting_stats[pair][0] for pair in SETTING_PAIRS}
     s_value = s_from_correlators(correlators)
-    variances = functools.reduce(operator.add, (setting_stats[p][1] for p in SETTING_PAIRS))
-    standard_error = math.sqrt(variances / shots)  # sum() compensates from Python 3.12 on
+    variances = [setting_stats[pair][1] for pair in SETTING_PAIRS]
+    if not all(0.0 <= variance < math.inf for variance in variances):  # also refuses nan
+        raise ValueError(f"setting variances {variances} must be finite and non-negative")
+    # left to right: sum() compensates from Python 3.12 on
+    standard_error = math.sqrt(functools.reduce(operator.add, variances) / shots)
     sigma = (s_value - 2.0) / standard_error if standard_error > 0.0 else None
     return ChshReport(
         "sampled", correlators, s_value,

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import gc
 import io
@@ -242,9 +241,8 @@ def _resolve(args: argparse.Namespace) -> dict:
 def _grw_params(cfg: dict) -> GrwParams:
     """The ``--scale`` preset, with any n, t or rate that a flag or the config gave."""
     preset = ATOM_PARAMS if cfg["scale"] == MICROSCOPIC else INSTRUMENT_PARAMS
-    fields = {"n": "n_particles", "t": "duration_s", "rate": "rate_per_particle"}
-    given = {field: cfg[key] for key, field in fields.items() if cfg[key] is not None}
-    return dataclasses.replace(preset, **given)
+    defaults = {"n": preset.n_particles, "t": preset.duration_s, "rate": preset.rate_per_particle}
+    return GrwParams(*(value if cfg[key] is None else cfg[key] for key, value in defaults.items()))
 
 
 def _csv_text(rows) -> str:

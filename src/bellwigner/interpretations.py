@@ -26,14 +26,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import chsh as chsh_engine
 from .chsh import ChshReport, check_integer
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, Record
 from .states import FRIEND_LABELS, StateVector, bell_wigner_state
 
 MICROSCOPIC = "micro"
@@ -45,24 +44,20 @@ MIN_TOTAL_RATE = 1e-30
 BRANCH_WEIGHT_FLOOR = 1e-15
 
 
-@dataclass(frozen=True)
-class GrwParams:
+class GrwParams(Record):
     """Spontaneous-localization parameters: particle count, duration, rate.
 
     The default per-particle rate is the conventional 1e-16 per second.
     """
 
-    n_particles: float
-    duration_s: float
-    rate_per_particle: float = 1e-16
+    __slots__ = ("n_particles", "duration_s", "rate_per_particle")
 
-    def __post_init__(self):
-        for name in ("n_particles", "duration_s", "rate_per_particle"):
-            value = getattr(self, name)
+    def __init__(self, n_particles: float, duration_s: float, rate_per_particle: float = 1e-16):
+        values = (n_particles, duration_s, rate_per_particle)  # -0.0 is stored as 0.0
+        super().__init__(*(0.0 if value == 0.0 else value for value in values))
+        for name, value in zip(self.__slots__, values):
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-            if value == 0.0:  # -0.0 passes the check; keep it out of the probabilities
-                object.__setattr__(self, name, 0.0)
         if self.n_particles < 1.0:
             raise ValueError("n_particles must be at least 1")
         # the probabilities multiply these products; an overflow to inf would
@@ -143,13 +138,13 @@ def grw_simulate(params: GrwParams, trials: int, seed: int) -> GrwSimResult:
     return GrwSimResult(count / trials, float(t.mean()))
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(Record):
     """A normalized branch and its Born weight; not a tuple, which ``chsh`` reads as an ensemble."""
 
-    weight: float
-    state: StateVector
-    label: str
+    __slots__ = ("weight", "state", "label")
+
+    def __init__(self, weight: float, state: StateVector, label: str):
+        super().__init__(weight, state, label)
 
     def to_dict(self) -> dict:
         return {"label": self.label, "weight": self.weight, "state": self.state.to_dict()}
@@ -196,27 +191,22 @@ def _bell_wigner_branches() -> tuple[Branch, ...]:
     return tuple(many_worlds_branches(bell_wigner_state()))
 
 
-@dataclass(frozen=True)
-class FriendScale:
+class FriendScale(Record):
     """Whether the friend is an atom-scale (MICROSCOPIC, "micro") or an
     instrument-scale (MACROSCOPIC, "macro") system, with its GRW parameters."""
 
-    kind: str
-    grw: GrwParams
+    __slots__ = ("kind", "grw")
 
-    def __post_init__(self):
-        if self.kind not in (MICROSCOPIC, MACROSCOPIC):
-            raise ValueError(f"unknown scale kind {self.kind!r}")
-        if self.kind == MICROSCOPIC and self.grw.n_particles > MICRO_MAX_PARTICLES:
-            raise ValueError(
-                f"microscopic friend cannot have {self.grw.n_particles!r} particles"
-                f" (> {MICRO_MAX_PARTICLES})"
-            )
-        if self.kind == MACROSCOPIC and self.grw.n_particles < MACRO_MIN_PARTICLES:
-            raise ValueError(
-                f"macroscopic friend cannot have {self.grw.n_particles!r} particles"
-                f" (< {MACRO_MIN_PARTICLES})"
-            )
+    def __init__(self, kind: str, grw: GrwParams):
+        if kind not in (MICROSCOPIC, MACROSCOPIC):
+            raise ValueError(f"unknown scale kind {kind!r}")
+        if kind == MICROSCOPIC and grw.n_particles > MICRO_MAX_PARTICLES:
+            raise ValueError(f"microscopic friend cannot have {grw.n_particles!r} particles"
+                             f" (> {MICRO_MAX_PARTICLES})")
+        if kind == MACROSCOPIC and grw.n_particles < MACRO_MIN_PARTICLES:
+            raise ValueError(f"macroscopic friend cannot have {grw.n_particles!r} particles"
+                             f" (< {MACRO_MIN_PARTICLES})")
+        super().__init__(kind, grw)
 
     @classmethod
     def microscopic(cls) -> "FriendScale":

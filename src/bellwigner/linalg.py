@@ -13,7 +13,7 @@ bench rebinds ``chsh.expectation``). Every other matrix product in the package
 is ``product`` and every operator norm ``frobenius_norm``: float64 products and
 ufunc sums, with no BLAS call and no fused multiply-add, so the same bits on
 every CPU. Joint tables and exact correlators are not computed here: ``chsh``
-reduces them from real cell stacks.
+reduces them from real cell stacks. ``Record`` is the base of the checked records.
 """
 
 from __future__ import annotations
@@ -23,6 +23,36 @@ import math
 import numpy as np
 
 DEFAULT_TOL = 1e-12
+
+
+class Record:
+    """A frozen record of the fields in its ``__slots__``, compared and hashed by field and
+    copied through ``__init__`` and its checks; a dataclass's methods cost ~1 ms at import."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):  # also __delattr__(self, name)
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        same = type(other) is type(self)
+        return self.__reduce__() == other.__reduce__() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
 
 
 def as_real(m) -> np.ndarray:

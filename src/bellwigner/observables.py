@@ -12,12 +12,11 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_real, commutator_norm, frobenius_norm, kron, product
+from .linalg import Record, as_real, commutator_norm, frobenius_norm, kron, product
 from .states import basis_index
 
 ALICE = "alice"
@@ -29,8 +28,7 @@ _I2 = np.eye(2)
 _I4 = np.eye(4)
 
 
-@dataclass(frozen=True, eq=False)
-class Observable:
+class Observable(Record):
     """A 4x4 real symmetric observable together with its outcome spectrum.
 
     ``label`` is one of OBSERVABLE_LABELS, and its first letter names the
@@ -39,29 +37,25 @@ class Observable:
     Construction stores the matrix and projectors as float64, refusing a
     nonzero imaginary part, and checks the label and shapes: algebraic
     properties are the business of :func:`verify_algebra`, which has to be
-    able to inspect deliberately broken instances.
+    able to inspect deliberately broken instances. It compares and hashes by identity.
     """
 
-    label: str
-    matrix: np.ndarray
-    spectrum: tuple[tuple[float, np.ndarray], ...]
+    __slots__ = ("label", "matrix", "spectrum")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        if self.label not in OBSERVABLE_LABELS:
-            raise ValueError(f"unknown observable label {self.label!r}")
-        matrix = as_real(self.matrix)
+    def __init__(self, label: str, matrix: np.ndarray, spectrum: tuple):
+        if label not in OBSERVABLE_LABELS:
+            raise ValueError(f"unknown observable label {label!r}")
+        matrix = as_real(matrix)
         if matrix.shape != (4, 4):
             raise ValueError(f"observable matrix must be 4x4, got {matrix.shape}")
         matrix.setflags(write=False)
-        spectrum = []
-        for value, projector in self.spectrum:
-            p = as_real(projector)
+        spectrum = tuple((float(value), as_real(projector)) for value, projector in spectrum)
+        for _, p in spectrum:
             if p.shape != (4, 4):
                 raise ValueError(f"spectral projector must be 4x4, got {p.shape}")
             p.setflags(write=False)
-            spectrum.append((float(value), p))
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "spectrum", tuple(spectrum))
+        super().__init__(label, matrix, spectrum)
 
     @property
     def side(self) -> str:

@@ -441,6 +441,57 @@ def test_a_report_of_numpy_shots_serializes_to_json():
         report_from_setting_products(stats, True)
 
 
+def edited_stats(pair, mean=None, variance=None):
+    """Seed 3's four (mean, variance) pairs at 1000 shots, with one pair's entry replaced."""
+    stats = {p: sample_setting_products(bell_wigner_state(), *p, 1000, 3) for p in SETTING_PAIRS}
+    old_mean, old_variance = stats[pair]
+    stats[pair] = (old_mean if mean is None else mean,
+                   old_variance if variance is None else variance)
+    return stats
+
+
+VARIANCES, NEGATIVE = "setting variances ", "must be finite and non-negative"
+
+
+@pytest.mark.parametrize("stats, shots, message", [
+    (edited_stats((1, 1)), 0, r"^shots_per_setting must be at least 2 \(sample variance\)$"),
+    (edited_stats((1, 1)), 1, r"^shots_per_setting must be at least 2 \(sample variance\)$"),
+    (edited_stats((1, 1)), 2 ** 63, r"^shots 9223372036854775808 exceeds the bound"),
+    # the four variances still sum to a positive number
+    (edited_stats((1, 0), variance=-0.25), 1000, rf"^{VARIANCES}\[.*, -0\.25, .*\] {NEGATIVE}$"),
+    (edited_stats((0, 0), variance=-4.0), 1000, rf"^{VARIANCES}\[.*, -4\.0\] {NEGATIVE}$"),
+    (edited_stats((0, 1), variance=math.nan), 1000, rf"^{VARIANCES}\[.*, nan, .*\] {NEGATIVE}$"),
+    (edited_stats((0, 1), variance=math.inf), 1000, rf"^{VARIANCES}\[.*, inf, .*\] {NEGATIVE}$"),
+    ({p: (0.5, 0.75) for p in SETTING_PAIRS if p != (1, 0)}, 1000,
+     "^setting statistics must cover exactly the four setting pairs$"),
+    ({**{p: (0.5, 0.75) for p in SETTING_PAIRS}, (2, 2): (0.5, 0.75)}, 1000,
+     "^setting statistics must cover exactly the four setting pairs$"),
+    (edited_stats((1, 1), mean=5.0), 1000, "^sampled correlator magnitude 5.0 exceeds 1$"),
+], ids=["zero_shots", "one_shot", "over_int64", "negative_variance", "negative_total",
+        "nan_variance", "inf_variance", "missing_pair", "extra_pair", "mean_above_one"])
+def test_a_sampled_report_refuses_what_no_draw_can_give(stats, shots, message):
+    with pytest.raises(ValueError, match=message):
+        report_from_setting_products(stats, shots)
+
+
+def test_the_shot_gate_has_one_message_for_a_report_and_a_draw():
+    stats = edited_stats((1, 1))
+    for shots in (1, 2 ** 63, 2.5, True):
+        with pytest.raises((TypeError, ValueError)) as report:
+            report_from_setting_products(stats, shots)
+        assert refusals((shots, 5))["sample_products"] == (report.type, str(report.value))
+
+
+def test_a_sampled_correlator_lies_within_one_as_an_exact_one_does():
+    for mode in ("exact", "sampled"):
+        inflated = {pair: 1.5 for pair in SETTING_PAIRS}
+        with pytest.raises(ValueError, match=f"^{mode} correlator magnitude 1.5 exceeds 1$"):
+            ChshReport(mode, inflated, s_from_correlators(inflated))
+    # a draw's mean of products in {-1, 0, 1} is at most 1: every shot reads +1
+    certain = {pair: (1.0, 0.0) for pair in SETTING_PAIRS}
+    assert report_from_setting_products(certain, 2).s_value == 2.0
+
+
 def test_sample_variance_from_counts_does_not_cancel():
     # one outcome in 10^13 at 2**62 shots: sum n x^2 - N m^2 keeps ~4 digits
     probabilities, products = np.array([1 - 1e-13, 1e-13]), np.array([1.0, -1.0])

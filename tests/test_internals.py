@@ -42,7 +42,7 @@ from test_interpretations import AGREEMENT_SCALES
 def test_cached_outcome_cells_are_read_only(pair):
     _, whole, all_products, rows, gather = chsh._cells()
     assert whole.shape == (25, 36) and all_products.shape == (25,) and gather.shape == (2, 2, 36)
-    assert whole.dtype == np.float64
+    assert whole.dtype == np.float64 and whole.flags.c_contiguous  # each row sums pairwise
     stack, products = whole[rows[pair]], all_products[rows[pair]]
     # a setting's cells are views of the one cached stack, not copies
     assert np.shares_memory(stack, whole) and np.shares_memory(products, all_products)
@@ -169,6 +169,32 @@ def test_outcome_cells_are_checked_when_built(monkeypatch, fresh_cells, message)
     for report in (chsh_exact, lambda state: chsh_sampled(state, 1000, 1)):
         with pytest.raises(ValueError, match=message):
             report(bell_wigner_state())
+    assert chsh._cells.cache_info().currsize == 0
+
+
+# Faults a thousand times the package's tolerance in Bob's setting-0 projectors: the first
+# setting pair that holds them is the second, (1, 0), and its first cell is (1.0, 1.0)
+SMALL_FAULTS = {
+    r"outcome cell \(1\.0, 1\.0\) of setting \(1, 0\) is not Hermitian":
+        lambda s: ((s[0][0], s[0][1] + 1e-9 * OFF_DIAGONAL.real), *s[1:]),
+    r"outcome cells of setting \(1, 0\) sum to the identity only within 2\.828e-09":
+        lambda s: ((s[0][0], (1.0 + 1e-9) * s[0][1]), *s[1:]),
+}
+
+
+@pytest.mark.parametrize("message", SMALL_FAULTS)
+def test_the_stacked_cell_checks_name_the_first_failing_cell_or_setting(monkeypatch, fresh_cells,
+                                                                        message):
+    original = chsh.bob_observable
+
+    def broken(setting):
+        obs = original(setting)
+        edit = SMALL_FAULTS[message]
+        return obs if setting else Observable(obs.label, obs.matrix, edit(obs.spectrum))
+
+    monkeypatch.setattr(chsh, "bob_observable", broken)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        chsh._cells()
     assert chsh._cells.cache_info().currsize == 0
 
 

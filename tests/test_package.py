@@ -1,9 +1,13 @@
-"""The package's public surface: its export list, its console script, the
-cases replayed through the installed script and the process-wide side effect of
+"""The package's public surface: its export list, its records, its console script,
+the cases replayed through the installed script and the process-wide side effect of
 importing the CLI."""
 
+import ast
+import copy
 import importlib
+import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -14,8 +18,10 @@ import pytest
 
 import bellwigner
 import replay_console
-from bellwigner import (FriendScale, GrwParams, agreement_report, bell_wigner_state,
-                        grw_simulate, joint_distribution, verify_algebra)
+from bellwigner import (FULL_LAYOUT, INSTRUMENT_PARAMS, Branch, ChshReport, FriendScale,
+                        GrwParams, Observable, StateVector, agreement_report, bell_wigner_state,
+                        chsh_exact, grw_simulate, joint_distribution, make_observable,
+                        many_worlds_branches, verify_algebra)
 from test_cli import REFUSED_RUNS, USAGE_ERRORS
 from test_golden import golden_cases
 
@@ -135,3 +141,113 @@ def test_a_result_record_is_frozen_with_a_field_repr_and_an_ordered_document(nam
         f"{field}={getattr(record, field)!r}" for field in fields) + ")"
     doc = verify_algebra().to_dict()["checks"][0] if name == "AlgebraCheck" else record.to_dict()
     assert type(doc) is dict and tuple(doc) == keys
+
+
+# The six records that check their fields, each built by keyword from the values of its
+# public route, with its fields in order. The first four compare and hash by field; a
+# state and an observable compare and hash by identity.
+CHECKED_RECORDS = {
+    "ChshReport": (lambda: ChshReport(mode="exact", correlators=dict(chsh_exact(
+                       bell_wigner_state()).correlators), s_value=2.828427124746189),
+                   ("mode", "correlators", "s_value", "shots_per_setting", "standard_error",
+                    "sigma_violation")),
+    "GrwParams": (lambda: GrwParams(n_particles=1e25, duration_s=1e-9),
+                  ("n_particles", "duration_s", "rate_per_particle")),
+    "FriendScale": (lambda: FriendScale(kind="macro", grw=INSTRUMENT_PARAMS), ("kind", "grw")),
+    "Branch": (lambda: Branch(weight=0.5, state=bell_wigner_state(), label="F_h·F_v"),
+               ("weight", "state", "label")),
+    "StateVector": (lambda: StateVector(subsystems=FULL_LAYOUT,
+                                        amplitudes=bell_wigner_state().amplitudes),
+                    ("subsystems", "amplitudes")),
+    "Observable": (lambda: Observable(label="A1", matrix=make_observable("A1").matrix,
+                                      spectrum=make_observable("A1").spectrum),
+                   ("label", "matrix", "spectrum")),
+}
+BY_IDENTITY = {"StateVector", "Observable"}
+
+
+def field_repr(record, fields) -> str:
+    return f"{type(record).__name__}(" + ", ".join(
+        f"{field}={getattr(record, field)!r}" for field in fields) + ")"
+
+
+@pytest.mark.parametrize("name", CHECKED_RECORDS)
+def test_a_checked_record_is_frozen_with_a_field_repr(name):
+    build, fields = CHECKED_RECORDS[name]
+    record = build()
+    assert type(record).__name__ == name
+    for attribute in (fields[0], fields[-1], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attribute, None)
+    with pytest.raises(AttributeError):
+        delattr(record, fields[0])
+    assert not hasattr(record, "extra")
+    assert repr(record) == field_repr(record, fields)
+
+
+@pytest.mark.parametrize("name", CHECKED_RECORDS)
+def test_a_checked_record_compares_and_hashes_by_field_or_by_identity(name):
+    build, fields = CHECKED_RECORDS[name]
+    record, twin = build(), build()
+    assert record == record and not record != record
+    assert record != tuple(getattr(record, field) for field in fields)
+    if name in BY_IDENTITY:
+        assert record != twin and hash(record) == object.__hash__(record)
+    elif name == "ChshReport":  # it holds a dict
+        assert record == twin
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert record == twin and hash(record) == hash(twin)
+
+
+def test_checked_records_take_their_defaults_and_refuse_a_negative_zero():
+    report = chsh_exact(bell_wigner_state())
+    assert (report.shots_per_setting, report.standard_error, report.sigma_violation) \
+        == (None, None, None)
+    assert GrwParams(1e2, 1e3) == GrwParams(1e2, 1e3, rate_per_particle=1e-16)
+    params = GrwParams(n_particles=1.0, duration_s=-0.0, rate_per_particle=-0.0)
+    assert params.duration_s == params.rate_per_particle == 0.0
+    assert math.copysign(1.0, params.duration_s) == math.copysign(1.0, params.rate_per_particle) \
+        == 1.0
+
+
+@pytest.mark.parametrize("name", CHECKED_RECORDS)
+def test_a_checked_record_survives_a_pickle_and_a_deep_copy(name):
+    build, fields = CHECKED_RECORDS[name]
+    record = build()
+    for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(clone) is type(record) and repr(clone) == repr(record)
+        # a branch's copy holds a new state, and a state compares by identity
+        assert (clone == record) is (name not in {*BY_IDENTITY, "Branch"})
+
+
+def test_a_copied_record_is_rebuilt_through_its_checks():
+    # a copy runs __init__: its arrays are read-only again, as the original's are
+    for record, array in ((bell_wigner_state(), "amplitudes"), (make_observable("B1"), "matrix"),
+                          (many_worlds_branches(bell_wigner_state())[0], "state")):
+        for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            value = getattr(clone, array)
+            value = value.amplitudes if array == "state" else value
+            assert not value.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = 0.0
+
+
+def test_no_module_of_the_package_generates_dataclass_methods_at_import():
+    # a @dataclass generates and execs its methods when the module is imported: ~1 ms each,
+    # in every CLI run
+    offenders = []
+    for path in sorted((ROOT / "src/bellwigner").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.ClassDef):
+                names = [ast.unparse(decorator) for decorator in node.decorator_list]
+            else:
+                continue
+            offenders += [(path.name, node.lineno, name) for name in names
+                          if "dataclass" in name]
+    assert offenders == []

@@ -222,6 +222,14 @@ def check_integer(value) -> int:
     return operator.index(value)
 
 
+def check_seed(value) -> int:
+    """``check_integer(value)``, which must be >= 0: the rule of every seed and stream-key entry."""
+    seed = check_integer(value)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _check_shots(shots) -> int:
     """``check_integer(shots)``, which must be 2..2**63 - 1: the rule of every sampled count."""
     shots = check_integer(shots)
@@ -240,12 +248,13 @@ def sample_products(
 ) -> tuple[float, float]:
     """Mean and ddof=1 variance of `shots` outcome products drawn from one setting's table.
 
-    The one gate of every sampled route: `shots` and each `stream_key` entry are read with
-    ``check_integer``, `shots` must be 2..2**63 - 1, and the arrays 1-D of one length with
-    finite products. One multinomial draw gives every cell's count, in table order, and the
-    statistics follow from the counts, with no per-shot array; the key seeds one stream.
+    The one gate of every sampled route: `shots` is read with ``check_integer`` and must be
+    2..2**63 - 1, each `stream_key` entry with ``check_seed``, and the arrays must be 1-D of
+    one length with finite products. One multinomial draw gives every cell's count, in table
+    order, and the statistics follow from the counts, with no per-shot array; the key seeds
+    one stream.
     """
-    shots, stream_key = _check_shots(shots), tuple(map(check_integer, stream_key))
+    shots, stream_key = _check_shots(shots), tuple(map(check_seed, stream_key))
     probs = np.maximum(probabilities, 0.0)  # np.clip with no upper bound, in a third the time
     values = np.asarray(products, dtype=float)
     if probs.ndim != 1 or values.shape != probs.shape:  # zip would cut the longer one

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import chsh as chsh_engine
-from .chsh import ChshReport, check_integer
+from .chsh import ChshReport, check_integer, check_seed
 from .linalg import DEFAULT_TOL, Record
 from .states import FRIEND_LABELS, StateVector, bell_wigner_state
 
@@ -113,7 +113,7 @@ def grw_simulate(params: GrwParams, trials: int, seed: int) -> GrwSimResult:
     uniforms u in [0, 1), t = -log1p(-(1 - u) * p) / (n*rate), clamped at T.
     Only collapsed trials cost a draw; memory is their times, 8 B each.
     """
-    trials, seed = check_integer(trials), check_integer(seed)
+    trials, seed = check_integer(trials), check_seed(seed)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if trials > MAX_DRAWS:
@@ -200,6 +200,8 @@ class FriendScale(Record):
     def __init__(self, kind: str, grw: GrwParams):
         if kind not in (MICROSCOPIC, MACROSCOPIC):
             raise ValueError(f"unknown scale kind {kind!r}")
+        if not isinstance(grw, GrwParams):
+            raise TypeError(f"grw must be a GrwParams, got {type(grw).__name__}")
         if kind == MICROSCOPIC and grw.n_particles > MICRO_MAX_PARTICLES:
             raise ValueError(f"microscopic friend cannot have {grw.n_particles!r} particles"
                              f" (> {MICRO_MAX_PARTICLES})")

@@ -18,8 +18,6 @@ reduces them from real cell stacks. ``Record`` is the base of the checked record
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 DEFAULT_TOL = 1e-12
@@ -120,7 +118,7 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def commutator_norm(m, n) -> float:
-    """Frobenius norm of m@n - n@m; inf, with no warning, when a product or the norm overflows.
+    """Frobenius norm of m@n - n@m, for two square matrices of one shape.
 
     For operators lifted from disjoint tensor factors each entry of either
     product is one product of a factor entry per side, and float64 products
@@ -130,6 +128,4 @@ def commutator_norm(m, n) -> float:
     a, b = as_matrix(m), as_matrix(n)
     if a.shape[0] != a.shape[1] or a.shape != b.shape:
         raise ValueError(f"commutator needs equal square matrices, got {a.shape} and {b.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):  # both products may overflow: inf - inf is nan
-        diff = product(a, b) - product(b, a)
-        return frobenius_norm(diff) if np.isfinite(diff).all() else math.inf
+    return frobenius_norm(product(a, b) - product(b, a))

@@ -26,7 +26,7 @@ from bellwigner.chsh import (
     sample_products,
     sample_setting_products,
 )
-from bellwigner.interpretations import Branch, many_worlds_branches
+from bellwigner.interpretations import ATOM_PARAMS, Branch, grw_simulate, many_worlds_branches
 from bellwigner.linalg import expectation
 from bellwigner.observables import alice_observable, bob_observable, lift, lifted_spectrum
 from bellwigner.states import FULL_LAYOUT, StateVector, bell_wigner_state
@@ -413,6 +413,18 @@ def test_sampled_seed_must_be_an_integer():
         assert len(set(refused.values())) == 1, refused
         kind, message = refused["sample_products"]
         assert kind is TypeError and "cannot be interpreted as an integer" in message
+
+
+@pytest.mark.parametrize("route", [
+    lambda: chsh_sampled(bell_wigner_state(), 100, -1),
+    lambda: sample_products(np.array([0.5, 0.5]), np.array([1.0, -1.0]), 10, (-1,)),
+    lambda: sample_products(np.array([0.5, 0.5]), np.array([1.0, -1.0]), 10, (5, 0, -1)),
+    lambda: grw_simulate(ATOM_PARAMS, 10, -1),
+], ids=["chsh_sampled", "sample_products", "sample_products_key_entry", "grw_simulate"])
+def test_a_negative_seed_is_refused_at_the_call(route):
+    # not by numpy's "expected non-negative integer" from inside its generator
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        route()
 
 
 @pytest.mark.parametrize("shots, kind, message", [

@@ -233,6 +233,13 @@ def test_friend_scale_bucket_validation():
         FriendScale("mesoscopic", ATOM_PARAMS)
 
 
+@pytest.mark.parametrize("grw", [None, (1e2, 1e3), {"n_particles": 1e2, "duration_s": 1e3}],
+                         ids=["none", "tuple", "dict"])
+def test_friend_scale_refuses_grw_parameters_that_are_not_grw_params(grw):
+    with pytest.raises(TypeError, match="^grw must be a GrwParams, got "):
+        FriendScale("micro", grw)
+
+
 def macro_ensemble_oracle():
     """Born-weighted average of chsh_exact over the four collapsed branches."""
     state = bell_wigner_state()

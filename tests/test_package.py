@@ -251,3 +251,25 @@ def test_no_module_of_the_package_generates_dataclass_methods_at_import():
             offenders += [(path.name, node.lineno, name) for name in names
                           if "dataclass" in name]
     assert offenders == []
+
+
+# names a module imports and never reads, each for a reason: the package's re-exports, and
+# the names that bench/spans.py rebinds in chsh
+UNREAD_IMPORTS = {
+    "__init__.py": set(bellwigner.__all__),
+    "chsh.py": {"expectation", "lift", "lifted_spectrum"},
+}
+
+
+def test_no_module_of_the_package_imports_a_name_it_never_reads():
+    for path in sorted((ROOT / "src/bellwigner").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+        assert imported - read == UNREAD_IMPORTS.get(path.name, set()), path.name
